@@ -11,9 +11,17 @@ random numbers), and every repetition's seed is derived from
 (master_seed, repetition_index), so results are independent of scheduling.
 
 The per-family grid kernels are algebraically identical to evaluating the
-fitted estimators point by point, just batched: the smooth half-line
-estimator, for instance, is a matrix product of per-repetition histogram
-counts of ceil(m X_i) with a table of Poisson survival functions.
+fitted estimators point by point, just batched.  The smooth half-line
+estimator, for instance, is swept in its Poisson series form
+
+    Fhat(x) = sum_k P(Poisson(m x) = k) C_k / n + P(Poisson(m x) > c_max),
+
+with C_k = #{ceil(m X_i) <= k} per repetition and c_max the largest
+ceil(m X_i).  The quadrature nodes go in fixed blocks, and each block
+takes Poisson weights only over the band of k where they are not
+negligible (theory.truncation_floor to theory.truncation_index, leaving
+out under 1e-30 on each side), so the work per order follows the width of
+the band rather than c_max times the node count.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from scipy import special as sp
 from . import models
 from .estimators import EmpiricalCDF, fit_from_spec
 from .special import hermite_basis
+from .theory import truncation_floor, truncation_index
 
 __all__ = [
     "ExperimentConfig",
@@ -44,6 +53,8 @@ __all__ = [
 ]
 
 _FAMILIES = ("edf", "szasz", "bernstein", "kernel", "hermite_half")
+_ELEMENT_BUDGET = 4_000_000  # array elements one repetition chunk may allocate
+_NODE_BLOCK = 32  # quadrature nodes sharing one Poisson band in the Szasz sweep
 
 
 @dataclass(frozen=True)
@@ -225,17 +236,6 @@ def _edf_ise_from_u(u_mat):
     return (((levels - lo) ** 3 - (levels - hi) ** 3) / 3.0).sum(axis=1)
 
 
-def _poisson_survival_table(c_max, z):
-    """S[c, j] = P(Poisson(z_j) >= c) for c = 0..c_max (row 0 is 1)."""
-    k = np.arange(c_max + 1, dtype=float)
-    log_pmf = k[:, None] * np.log(z)[None, :] - z[None, :] - sp.gammaln(k + 1.0)[:, None]
-    pmf = np.exp(log_pmf)
-    tail = sp.gammainc(float(c_max + 1), z)  # mass above the last kept index
-    surv = np.flip(np.cumsum(np.flip(pmf, axis=0), axis=0), axis=0) + tail[None, :]
-    surv[0] = 1.0
-    return surv
-
-
 def _row_bincount(idx, width_max):
     n_rows = idx.shape[0]
     width = width_max + 1
@@ -246,15 +246,39 @@ def _row_bincount(idx, width_max):
 
 
 def _ise_szasz(samples, grid, u, w, x_nodes, workers):
-    n = samples.shape[1]
+    # series form over the row-wise cumulative counts C[r, k] = #{c_i <= k}:
+    # n Fhat(x_j) = sum_k P(Poisson(z_j) = k) C[r, k] + n P(Poisson(z_j) > c_max)
+    # with z = m x, the sum taken per block of nodes over the band of k
+    # where their Poisson weights live
+    n_reps, n = samples.shape
+    x_max = float(samples.max())
 
     def column(param):
         m = int(param)
-        c = np.maximum(1, np.ceil(m * samples)).astype(np.int64)
-        c_max = int(c.max())
-        surv = _poisson_survival_table(c_max, m * x_nodes)
-        fhat = _row_bincount(c, c_max) @ surv / n
-        return ((fhat - u[None, :]) ** 2 * w[None, :]).sum(axis=1)
+        z = m * x_nodes
+        log_z = np.log(z)
+        c_max = max(1, math.ceil(m * x_max))
+        tail = sp.gammainc(float(c_max + 1), z)
+        k = np.arange(c_max + 1, dtype=float)[:, None]
+        log_fact = sp.gammaln(k + 1.0)
+        chunk = max(1, _ELEMENT_BUDGET // (n + c_max + x_nodes.size))
+        out = np.empty(n_reps)
+        for i in range(0, n_reps, chunk):
+            c = np.maximum(1, np.ceil(m * samples[i:i + chunk])).astype(np.int64)
+            cum = _row_bincount(c, c_max)
+            np.cumsum(cum, axis=1, out=cum)
+            fhat = np.zeros((c.shape[0], z.size))
+            for j in range(0, z.size, _NODE_BLOCK):
+                cols = slice(j, j + _NODE_BLOCK)
+                lo = truncation_floor(z[cols][0])
+                hi = min(truncation_index(z[cols][-1]), c_max)
+                if lo <= hi:
+                    band = slice(lo, hi + 1)
+                    pmf = np.exp(k[band] * log_z[cols] - z[cols] - log_fact[band])
+                    fhat[:, cols] = cum[:, band] @ pmf
+            fhat = fhat / n + tail[None, :]
+            out[i:i + chunk] = ((fhat - u[None, :]) ** 2 * w[None, :]).sum(axis=1)
+        return out
 
     return np.stack(_thread_map(column, grid, workers), axis=1)
 
@@ -278,7 +302,7 @@ def _ise_bernstein(samples, grid, u, w, x_nodes, workers):
 
 def _ise_kernel(samples, grid, u, w, x_nodes, workers):
     n_reps, n = samples.shape
-    chunk = max(1, 4_000_000 // (n * x_nodes.size))
+    chunk = max(1, _ELEMENT_BUDGET // (n * x_nodes.size))
 
     def column(param):
         h = float(param)
@@ -297,7 +321,7 @@ def _ise_hermite(samples, grid, u, w, x_nodes, scale):
     n_reps, n = samples.shape
     n_max = int(grid[-1])
     coefs = np.empty((n_reps, n_max + 1))
-    chunk = max(1, 4_000_000 // (n * (n_max + 1)))
+    chunk = max(1, _ELEMENT_BUDGET // (n * (n_max + 1)))
     for i in range(0, n_reps, chunk):
         block = samples[i:i + chunk] / scale
         vals, _ = hermite_basis(block.ravel(), n_max)

@@ -36,9 +36,22 @@ __all__ = [
 
 
 def truncation_index(z):
-    """Smallest Poisson index kept out of the sums at mean z."""
+    """Largest Poisson index kept in the sums at mean z.
+
+    The Poisson(z) mass above it is below 1e-30.
+    """
     z = float(z)
     return int(math.ceil(z + 12.0 * math.sqrt(z) + 30.0))
+
+
+def truncation_floor(z):
+    """Smallest Poisson index kept in the sums at mean z.
+
+    The lower mirror of ``truncation_index``: by the Chernoff bound
+    exp(-a^2 / 2z) the Poisson(z) mass below it is below 1e-30.
+    """
+    z = float(z)
+    return max(0, int(math.floor(z - 12.0 * math.sqrt(z) - 30.0)))
 
 
 @dataclass(frozen=True)

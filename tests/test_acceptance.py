@@ -205,7 +205,8 @@ def test_criterion_7_asymptotic_normality(beta33):
             + f" (< 0.05 required) [{time.time() - start:.1f}s]"
             + ("" if ok else " — the smooth estimator's exact law at this m sits "
                "0.0566 from the reference normal (variance-reduction plus bias shift), "
-               "so this bound is unattainable; see the decisions ledger"))
+               "so this bound is unattainable; see the note on the normality criterion "
+               "in README.md, section Install and test"))
 
 
 def test_criterion_8_estimator_property_suite(exp2):

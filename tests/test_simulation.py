@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,20 +62,24 @@ def test_mise_single_repetition(exp2):
     assert se == 0.0
 
 
-def test_engine_matches_public_ise(exp2, beta33):
+def test_engine_matches_public_ise(exp2, beta33, weibull3):
     reps, n = 6, 25
     xs = samples_matrix(exp2, 3, reps, n)
     cases = [
-        ("szasz", (5, 20), lambda row, p: szasz_fit(row, int(p)), exp2),
-        ("kernel", (0.05, 0.2), lambda row, p: kernel_fit(row, p), exp2),
-        ("hermite_half", (3, 10), lambda row, p: hermite_half_fit(row, int(p)), exp2),
+        ("szasz", (5, 20), lambda row, p: szasz_fit(row, int(p)), exp2, n),
+        # large enough orders that the Szasz sweep's Poisson bands are cut
+        # off both below (lo > 0) and above (hi < c_max) in some node blocks
+        ("szasz", (100, 200), lambda row, p: szasz_fit(row, int(p)), weibull3, 200),
+        ("kernel", (0.05, 0.2), lambda row, p: kernel_fit(row, p), exp2, n),
+        ("hermite_half", (3, 10), lambda row, p: hermite_half_fit(row, int(p)), exp2, n),
     ]
-    for family, grid, fitter, dist in cases:
-        cfg = ExperimentConfig(dist, family, grid, n=n, M=reps, master_seed=3)
+    for family, grid, fitter, dist, size in cases:
+        cfg = ExperimentConfig(dist, family, grid, n=size, M=reps, master_seed=3)
         mat = _ise_matrix(cfg)
+        rows = samples_matrix(dist, 3, reps, size)
         for i in range(reps):
             for j, p in enumerate(grid):
-                assert mat[i, j] == pytest.approx(ise(fitter(xs[i], p), dist), abs=1e-10), family
+                assert mat[i, j] == pytest.approx(ise(fitter(rows[i], p), dist), abs=1e-10), family
     # bernstein on the unit-interval model
     xb = samples_matrix(beta33, 3, reps, n)
     cfg = ExperimentConfig(beta33, "bernstein", (4, 9), n=n, M=reps, master_seed=3)
@@ -121,6 +126,30 @@ def test_sweep_determinism_and_workers(exp2):
     assert np.array_equal(r1.mise, r4.mise)
     assert np.array_equal(r1.se, r4.se)
     assert r1.argmin_param == r4.argmin_param
+
+
+def test_szasz_sweep_memory_is_bounded_at_large_order(exp2):
+    # at m = 20000 the largest observation gives c_max near 1e5: a dense
+    # (c_max + 1) x 512 Poisson table would take about 400 MB by itself and
+    # the counts of all 400 repetitions another 320 MB.  The sweep keeps
+    # Poisson weights only for each node block's band and takes the
+    # repetitions in chunks of a bounded element count instead
+    cfg = ExperimentConfig(exp2, "szasz", (20000,), n=20, M=400, master_seed=5)
+    tracemalloc.start()
+    try:
+        mat = _ise_matrix(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160e6, peak
+    # a row depends only on (seed, i): the first rows match a three-row run
+    # and the public fit.  Not bit for bit: c_max, where the sum stops and
+    # the tail takes over, is the largest ceil(m X_i) over all the rows
+    small = _ise_matrix(ExperimentConfig(exp2, "szasz", (20000,), n=20, M=3, master_seed=5))
+    rows = samples_matrix(exp2, 5, 3, 20)
+    for i in range(3):
+        assert mat[i, 0] == pytest.approx(small[i, 0], rel=1e-10)
+        assert mat[i, 0] == pytest.approx(ise(szasz_fit(rows[i], 20000), exp2), abs=1e-10)
 
 
 def test_sweep_argmin_and_degenerate_grid(exp2):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from smoothcdf import (
     L_m,
@@ -17,6 +18,7 @@ from smoothcdf import (
     szasz_operator,
     weighted_L_integral,
 )
+from smoothcdf.theory import truncation_floor, truncation_index
 
 
 def test_poisson_weights_basics():
@@ -33,6 +35,17 @@ def test_poisson_weights_basics():
     assert pw.weights.sum() + pw.tail_mass == pytest.approx(1.0, abs=1e-12)
     assert pw.tail_mass <= 1e-20
     assert np.all(pw.weights >= 0.0)
+
+
+def test_truncation_band_leaves_out_under_1e30():
+    # P(Poisson(z) < lo) = Q(lo, z) and P(Poisson(z) > hi) = P(hi + 1, z)
+    for z in (0.0, 5.0, 250.0, 1e4, 1e6):
+        lo, hi = truncation_floor(z), truncation_index(z)
+        assert 0 <= lo <= z <= hi
+        below = sp.gammaincc(lo, z) if lo > 0 else 0.0
+        assert below < 1e-30, z
+        assert sp.gammainc(hi + 1, z) < 1e-30, z
+    assert truncation_floor(250.0) > 0
 
 
 def test_szasz_operator(exp2):

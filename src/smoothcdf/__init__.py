@@ -52,7 +52,7 @@ from .simulation import (
     normality_experiment,
     parameter_sweep,
 )
-from .special import hermite_eval, log_gamma, normal_cdf, reg_incomplete_beta, reg_lower_gamma
+from .special import reg_lower_gamma
 from .theory import (
     ExactMoments,
     L_m,

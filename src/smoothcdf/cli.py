@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .asymptotics import c_opt, c_star, m_opt_mise, m_opt_mse, mise_constants, pointwise_coeffs
-from .estimators import fit_from_spec
+from .estimators import KINDS, fit_from_spec
 from .models import distribution_from_spec
 from .simulation import ExperimentConfig, normality_experiment, parameter_sweep
 from .theory import run_theory_checks
@@ -291,8 +291,7 @@ def build_parser():
 
     p = sub.add_parser("estimate", help="evaluate one fitted estimator at given points")
     p.add_argument("--sample", required=True, help="file with one observation per line")
-    p.add_argument("--kind", required=True,
-                   choices=["edf", "szasz", "bernstein", "kernel", "hermite_half"])
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--m", type=int, help="order for szasz/bernstein")
     p.add_argument("--h", type=float, help="bandwidth for kernel")
     p.add_argument("--N", type=int, help="truncation order for hermite_half")

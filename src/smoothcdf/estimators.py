@@ -2,6 +2,9 @@
 
 Every fit function sorts and validates its sample once and returns an
 immutable fitted object; evaluation is vectorized over the query points.
+Each fitted class holds its family's one evaluation formula: the normality
+experiment evaluates through it, and the batched sweep engines in
+``simulation`` are tested against it.
 The smooth half-line estimator is evaluated through its finite
 incomplete-gamma representation: with c_i = ceil(m X_i),
 
@@ -34,13 +37,14 @@ __all__ = [
     "hermite_half_fit",
     "hermite_half_standardized_fit",
     "fit_from_spec",
+    "KINDS",
 ]
 
 _X_MAX = 1e6  # quantile bracketing gives up past this point
 
 
 class QuantileBracketError(RuntimeError):
-    """No x <= x_max reaches the requested probability level."""
+    """The estimate does not cross the requested level within |x| <= 1e6."""
 
 
 def _as_sample(values, lower=0.0, upper=None, what="sample"):
@@ -76,31 +80,67 @@ def _bisect_increasing(f, p, lo, hi, tol=1e-10):
     return hi
 
 
-def _bracket_upward(f, p, lo, hi):
-    # double the span above lo until f(hi) >= p or the cap is hit
-    while f(hi) < p:
-        if hi >= _X_MAX:
-            raise QuantileBracketError(
-                f"estimator never reaches level {p} below x = {_X_MAX:g}")
-        hi = min(_X_MAX, lo + 2.0 * (hi - lo))
-    return hi
+class _Fitted:
+    """What the fitted estimators share: the sample size, the evaluation
+    shell around each family's ``_cdf`` formula and the quantile search.
 
+    ``_lower`` and ``_upper`` bound the domain an estimate may be evaluated on.
+    """
 
-@dataclass(frozen=True)
-class EmpiricalCDF:
-    """Step-function estimator: fraction of observations <= x."""
-
-    sample: np.ndarray
-    kind: str = field(default="edf", init=False)
+    _lower = -math.inf
+    _upper = math.inf
 
     @property
     def n(self):
         return self.sample.size
 
     def evaluate(self, x):
+        """The estimate at x: a float for a scalar, else an array shaped like x."""
+        return self._pointwise(self._cdf, x)
+
+    def _pointwise(self, formula, x):
+        # formula maps a flat float array to the values at its points
         x = np.asarray(x, dtype=float)
-        out = np.searchsorted(self.sample, x, side="right") / self.n
-        return float(out) if out.ndim == 0 else out
+        if self._upper < math.inf:
+            if (x < self._lower).any() or (x > self._upper).any():
+                raise ValueError(
+                    f"evaluation points must lie in [{self._lower:g}, {self._upper:g}]")
+        elif self._lower > -math.inf and (x < self._lower).any():
+            raise ValueError(f"evaluation points must be >= {self._lower:g}")
+        out = formula(np.atleast_1d(x).ravel())
+        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+
+    def _search(self, p, lo, hi):
+        # inf{x: Fhat(x) >= p} for a non-decreasing fit: double the width of
+        # [lo, hi] until Fhat(lo) < p <= Fhat(hi), within the domain and
+        # +-_X_MAX, then bisect.  Fhat(lo) >= p at the domain's lower edge
+        # makes the edge itself the answer
+        p = _check_level(p)
+        floor, ceiling = max(self._lower, -_X_MAX), min(self._upper, _X_MAX)
+        while self.evaluate(lo) >= p:
+            if lo <= floor:
+                if floor == self._lower:
+                    return lo
+                raise QuantileBracketError(
+                    f"estimator exceeds level {p} already at x = {floor:g}")
+            lo = max(floor, hi - 2.0 * (hi - lo))
+        while self.evaluate(hi) < p:
+            if hi >= ceiling:
+                raise QuantileBracketError(
+                    f"estimator never reaches level {p} below x = {ceiling:g}")
+            hi = min(ceiling, lo + 2.0 * (hi - lo))
+        return _bisect_increasing(self.evaluate, p, lo, hi)
+
+
+@dataclass(frozen=True)
+class EmpiricalCDF(_Fitted):
+    """Step-function estimator: fraction of observations <= x."""
+
+    sample: np.ndarray
+    kind: str = field(default="edf", init=False)
+
+    def _cdf(self, flat):
+        return np.searchsorted(self.sample, flat, side="right") / self.n
 
     def quantile(self, p):
         # inf{x: F_n(x) >= p} is the ceil(n p)-th order statistic; the tiny
@@ -110,121 +150,76 @@ class EmpiricalCDF:
 
 
 @dataclass(frozen=True)
-class SzaszEstimator:
+class SzaszEstimator(_Fitted):
     """Poisson-smoothed CDF estimator on [0, inf)."""
 
     sample: np.ndarray
     m: int
     gamma_shapes: np.ndarray  # c_i = max(1, ceil(m X_i)), one per observation
     kind: str = field(default="szasz", init=False)
+    _lower = 0.0
 
-    @property
-    def n(self):
-        return self.sample.size
-
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0):
-            raise ValueError("evaluation points must be >= 0")
-        scalar = x.ndim == 0
-        flat = np.atleast_1d(x).ravel()
+    def _cdf(self, flat):
         out = np.empty(flat.size)
         shapes = self.gamma_shapes.astype(float)
         step = max(1, 2_000_000 // max(1, self.n))
         for i in range(0, flat.size, step):
             block = flat[i:i + step]
             out[i:i + step] = sp.gammainc(shapes[:, None], self.m * block[None, :]).mean(axis=0)
-        return float(out[0]) if scalar else out.reshape(x.shape)
+        return out
 
     def density(self, x):
         """Derivative of the fitted CDF, a Poisson-weight mixture density."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0):
-            raise ValueError("evaluation points must be >= 0")
-        scalar = x.ndim == 0
-        flat = np.atleast_1d(x).ravel()
-        k = (self.gamma_shapes - 1).astype(float)
-        logp = poisson_log_pmf(k[:, None], self.m * flat[None, :])
-        out = self.m * np.exp(logp).mean(axis=0)
-        return float(out[0]) if scalar else out.reshape(x.shape)
+        k = (self.gamma_shapes - 1).astype(float)[:, None]
+        return self._pointwise(
+            lambda t: self.m * np.exp(poisson_log_pmf(k, self.m * t[None, :])).mean(axis=0), x)
 
     def quantile(self, p):
-        p = _check_level(p)
-        hi0 = 2.0 * float(self.sample[-1]) + 10.0 / self.m
-        hi = _bracket_upward(self.evaluate, p, 0.0, max(hi0, 1.0 / self.m))
-        return _bisect_increasing(self.evaluate, p, 0.0, hi)
+        return self._search(p, 0.0, 2.0 * float(self.sample[-1]) + 10.0 / self.m)
 
 
 @dataclass(frozen=True)
-class BernsteinEstimator:
+class BernsteinEstimator(_Fitted):
     """Polynomial CDF estimator on [0, 1] with binomial weights."""
 
     sample: np.ndarray
     m: int
     orders: np.ndarray  # ceil(m X_i) in [0, m]
     kind: str = field(default="bernstein", init=False)
+    _lower = 0.0
+    _upper = 1.0
 
-    @property
-    def n(self):
-        return self.sample.size
-
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0) or np.any(x > 1.0):
-            raise ValueError("evaluation points must lie in [0, 1]")
-        scalar = x.ndim == 0
-        flat = np.atleast_1d(x).ravel()
+    def _cdf(self, flat):
         # P(Bin(m, x) >= c) = I_x(c, m - c + 1); the c = 0 rows contribute 1
         c = self.orders.astype(float)
         pos = c > 0
         out = np.full((self.n, flat.size), 1.0)
         if np.any(pos):
             out[pos] = sp.betainc(c[pos, None], self.m - c[pos, None] + 1.0, flat[None, :])
-        out = out.mean(axis=0)
-        return float(out[0]) if scalar else out.reshape(x.shape)
+        return out.mean(axis=0)
 
     def quantile(self, p):
-        p = _check_level(p)
-        if self.evaluate(0.0) >= p:
-            return 0.0
-        return _bisect_increasing(self.evaluate, p, 0.0, 1.0)
+        return self._search(p, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
-class KernelCDF:
+class KernelCDF(_Fitted):
     """Gaussian-kernel CDF estimator, smooth and strictly increasing."""
 
     sample: np.ndarray
     h: float
     kind: str = field(default="kernel", init=False)
 
-    @property
-    def n(self):
-        return self.sample.size
-
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        flat = np.atleast_1d(x).ravel()
-        out = sp.ndtr((flat[None, :] - self.sample[:, None]) / self.h).mean(axis=0)
-        return float(out[0]) if scalar else out.reshape(x.shape)
+    def _cdf(self, flat):
+        return sp.ndtr((flat[None, :] - self.sample[:, None]) / self.h).mean(axis=0)
 
     def quantile(self, p):
-        p = _check_level(p)
-        span = self.h
-        lo = float(self.sample[0]) - span
-        while self.evaluate(lo) >= p:
-            span *= 2.0
-            lo = float(self.sample[0]) - span
-            if lo <= -_X_MAX:
-                raise QuantileBracketError("no lower bracket above -1e6")
-        hi0 = 2.0 * abs(float(self.sample[-1])) + 10.0 * self.h
-        hi = _bracket_upward(self.evaluate, p, lo, hi0)
-        return _bisect_increasing(self.evaluate, p, lo, hi)
+        return self._search(p, float(self.sample[0]) - self.h,
+                            2.0 * abs(float(self.sample[-1])) + 10.0 * self.h)
 
 
 @dataclass(frozen=True)
-class HermiteHalfEstimator:
+class HermiteHalfEstimator(_Fitted):
     """Truncated Hermite-series density estimate integrated from 0.
 
     Not a proper CDF: the truncation keeps the limit at infinity away from
@@ -239,22 +234,12 @@ class HermiteHalfEstimator:
     scale: float = 1.0
     clip: bool = False
     kind: str = field(default="hermite_half", init=False)
+    _lower = 0.0
 
-    @property
-    def n(self):
-        return self.sample.size
-
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0):
-            raise ValueError("evaluation points must be >= 0")
-        scalar = x.ndim == 0
-        flat = np.atleast_1d(x).ravel() / self.scale
-        _, integrals = hermite_basis(flat, self.order_max)
+    def _cdf(self, flat):
+        _, integrals = hermite_basis(flat / self.scale, self.order_max)
         out = self.coef @ integrals
-        if self.clip:
-            out = np.clip(out, 0.0, 1.0)
-        return float(out[0]) if scalar else out.reshape(x.shape)
+        return np.clip(out, 0.0, 1.0) if self.clip else out
 
     def quantile(self, p):
         # generalized inf over a possibly non-monotone curve: locate the
@@ -263,8 +248,7 @@ class HermiteHalfEstimator:
         hi = 2.0 * float(self.sample[-1]) + 10.0 * self.scale
         while True:
             grid = np.linspace(0.0, hi, 4097)
-            vals = self.evaluate(grid)
-            above = np.nonzero(vals >= p)[0]
+            above = np.nonzero(self.evaluate(grid) >= p)[0]
             if above.size:
                 break
             if hi >= _X_MAX:
@@ -313,13 +297,7 @@ def kernel_fit(values, h):
 
 def hermite_half_fit(values, order_max, clip=False):
     """Fit the half-line Hermite estimator with N + 1 series terms."""
-    order_max = int(order_max)
-    if order_max < 0:
-        raise ValueError("order_max must be >= 0")
-    x = _as_sample(values)
-    values_matrix, _ = hermite_basis(x, order_max)
-    coef = values_matrix.mean(axis=1)
-    return HermiteHalfEstimator(x, order_max, coef, scale=1.0, clip=clip)
+    return hermite_half_standardized_fit(values, order_max, None, 1.0, clip)
 
 
 def hermite_half_standardized_fit(values, order_max, mu, sigma, clip=False):
@@ -343,12 +321,15 @@ def hermite_half_standardized_fit(values, order_max, mu, sigma, clip=False):
     return HermiteHalfEstimator(x, order_max, coef, scale=sigma, clip=clip)
 
 
+KINDS = ("edf", "szasz", "bernstein", "kernel", "hermite_half")  # the spec kinds
+
+
 def fit_from_spec(spec, values, dist=None):
     """Fit an estimator from its JSON config form.
 
     Examples: {"kind": "szasz", "m": 50}, {"kind": "kernel", "h": 0.05},
     {"kind": "hermite_half", "N": 20, "standardize": true}.  Standardized
-    Hermite fits take mu/sigma from the spec or from ``dist``.
+    Hermite fits take sigma from the spec or from ``dist``.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("estimator spec must be a dict with a 'kind' key")
@@ -363,11 +344,10 @@ def fit_from_spec(spec, values, dist=None):
         return kernel_fit(values, spec["h"])
     if kind == "hermite_half":
         if spec.get("standardize", False):
-            mu = spec.get("mu", dist.mean if dist is not None else None)
             sigma = spec.get("sigma", dist.sd if dist is not None else None)
             if sigma is None:
                 raise ValueError("standardized hermite fit needs sigma (or a model)")
-            return hermite_half_standardized_fit(values, spec["N"], mu, sigma,
+            return hermite_half_standardized_fit(values, spec["N"], None, sigma,
                                                  clip=spec.get("clip", False))
         return hermite_half_fit(values, spec["N"], clip=spec.get("clip", False))
     raise ValueError(f"unknown estimator kind: {kind!r}")

@@ -11,8 +11,9 @@ random numbers), and every repetition's seed is derived from
 (master_seed, repetition_index), so results are independent of scheduling.
 
 The per-family grid kernels are algebraically identical to evaluating the
-fitted estimators point by point, just batched.  The smooth half-line
-estimator, for instance, is swept in its Poisson series form
+fitted estimators point by point, just batched; the normality experiment
+evaluates the fitted estimators themselves, one fit per repetition.  The
+smooth half-line estimator, for instance, is swept in its Poisson series form
 
     Fhat(x) = sum_k P(Poisson(m x) = k) C_k / n + P(Poisson(m x) > c_max),
 
@@ -35,7 +36,7 @@ import numpy as np
 from scipy import special as sp
 
 from . import models
-from .estimators import EmpiricalCDF, fit_from_spec
+from .estimators import KINDS, EmpiricalCDF, fit_from_spec
 from .special import hermite_basis
 from .theory import truncation_floor, truncation_index
 
@@ -52,7 +53,6 @@ __all__ = [
     "ks_distance_normal",
 ]
 
-_FAMILIES = ("edf", "szasz", "bernstein", "kernel", "hermite_half")
 _ELEMENT_BUDGET = 4_000_000  # array elements one repetition chunk may allocate
 _NODE_BLOCK = 32  # quadrature nodes sharing one Poisson band in the Szasz sweep
 
@@ -71,7 +71,7 @@ class ExperimentConfig:
     standardize: bool = False
 
     def __post_init__(self):
-        if self.estimator_family not in _FAMILIES:
+        if self.estimator_family not in KINDS:
             raise ValueError(f"unknown estimator family: {self.estimator_family!r}")
         grid = tuple(float(p) for p in self.param_grid)
         if not grid:
@@ -183,7 +183,9 @@ def normality_experiment(dist, estimator_spec, x, n, M, master_seed, workers=1):
     if not 0.0 < fx < 1.0:
         raise ValueError("normality experiment needs 0 < F(x) < 1")
     samples = samples_matrix(dist, master_seed, M, n)
-    values = _evaluate_at_point(samples, estimator_spec, x, dist, workers)
+    # one fit per row, by the same fitted objects the library hands out
+    values = np.array(_thread_map(
+        lambda row: fit_from_spec(estimator_spec, row, dist).evaluate(x), samples, workers))
     ref_sd = math.sqrt(fx * (1.0 - fx) / n)
     ks = ks_distance_normal(values, fx, ref_sd)
     return NormalityResult(x, int(n), int(M), values, fx, ref_sd, ks)
@@ -284,18 +286,22 @@ def _ise_szasz(samples, grid, u, w, x_nodes, workers):
 
 
 def _ise_bernstein(samples, grid, u, w, x_nodes, workers):
-    n = samples.shape[1]
+    n_reps, n = samples.shape
 
     def column(param):
         m = int(param)
-        c = np.clip(np.ceil(m * samples).astype(np.int64), 0, m)
         # P(Bin(m, x) >= c) = I_x(c, m - c + 1), with the c = 0 row equal to 1
         orders = np.arange(1, m + 1, dtype=float)
         table = np.empty((m + 1, x_nodes.size))
         table[0] = 1.0
         table[1:] = sp.betainc(orders[:, None], m - orders[:, None] + 1.0, x_nodes[None, :])
-        fhat = _row_bincount(c, m) @ table / n
-        return ((fhat - u[None, :]) ** 2 * w[None, :]).sum(axis=1)
+        chunk = max(1, _ELEMENT_BUDGET // (n + m + x_nodes.size))
+        out = np.empty(n_reps)
+        for i in range(0, n_reps, chunk):
+            c = np.clip(np.ceil(m * samples[i:i + chunk]).astype(np.int64), 0, m)
+            fhat = _row_bincount(c, m) @ table / n
+            out[i:i + chunk] = ((fhat - u[None, :]) ** 2 * w[None, :]).sum(axis=1)
+        return out
 
     return np.stack(_thread_map(column, grid, workers), axis=1)
 
@@ -336,31 +342,6 @@ def _ise_hermite(samples, grid, u, w, x_nodes, scale):
         if order in wanted:
             out[:, wanted[order]] = ((acc - u[None, :]) ** 2 * w[None, :]).sum(axis=1)
     return out
-
-
-def _evaluate_at_point(samples, estimator_spec, x, dist, workers):
-    kind = estimator_spec.get("kind")
-    n = samples.shape[1]
-    if kind == "edf":
-        return (samples <= x).mean(axis=1)
-    if kind == "szasz":
-        m = int(estimator_spec["m"])
-        c = np.maximum(1, np.ceil(m * samples))
-        return sp.gammainc(c, m * x).mean(axis=1)
-    if kind == "kernel":
-        h = float(estimator_spec["h"])
-        return sp.ndtr((x - samples) / h).mean(axis=1)
-    if kind == "bernstein":
-        m = int(estimator_spec["m"])
-        c = np.clip(np.ceil(m * samples), 0, m)
-        vals = np.where(c > 0, sp.betainc(np.maximum(c, 1.0), m - np.maximum(c, 1.0) + 1.0, x), 1.0)
-        return vals.mean(axis=1)
-    if kind == "hermite_half":
-        def one(row):
-            fit = fit_from_spec(estimator_spec, row, dist)
-            return fit.evaluate(x)
-        return np.array(_thread_map(one, list(samples), workers))
-    raise ValueError(f"unknown estimator kind: {kind!r}")
 
 
 def _mean_and_se(values):

@@ -1,42 +1,26 @@
-"""Special functions shared by all estimators.
+"""Special functions shared by the estimators and the theory module.
 
-Scalar functions (log-gamma, regularized incomplete gamma/beta, normal CDF)
-are thin validating wrappers around scipy.special.  The normalized Hermite
-functions and their cumulative integrals are computed here with stable
-three-term recurrences; per-call quadrature would be O(N) integrals instead
-of one O(N) ladder.
+The regularized lower incomplete gamma function is a validating wrapper
+around scipy.special, and the Poisson log-pmf handles the lam = 0 case.
+The normalized Hermite functions and their cumulative integrals are
+computed here with stable three-term recurrences; per-call quadrature would
+be O(N) integrals instead of one O(N) ladder.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
 
 __all__ = [
-    "log_gamma",
     "reg_lower_gamma",
-    "normal_cdf",
-    "reg_incomplete_beta",
     "poisson_log_pmf",
-    "HermiteBasisEval",
     "hermite_basis",
-    "hermite_eval",
 ]
 
 # h_0(0) = pi**(-1/4); shows up in every Hermite seed below.
 _PI_M14 = np.pi ** (-0.25)
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
-
-
-def log_gamma(z):
-    """ln Gamma(z) for z > 0."""
-    z = np.asarray(z, dtype=float)
-    if np.any(~(z > 0.0)):
-        raise ValueError("log_gamma requires z > 0")
-    out = sp.gammaln(z)
-    return float(out) if out.ndim == 0 else out
 
 
 def reg_lower_gamma(s, x):
@@ -55,25 +39,6 @@ def reg_lower_gamma(s, x):
     return float(out) if out.ndim == 0 else out
 
 
-def normal_cdf(x):
-    """Standard normal distribution function Phi(x)."""
-    out = sp.ndtr(np.asarray(x, dtype=float))
-    return float(out) if out.ndim == 0 else out
-
-
-def reg_incomplete_beta(a, b, x):
-    """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.any(~(a > 0.0)) or np.any(~(b > 0.0)):
-        raise ValueError("reg_incomplete_beta requires a > 0 and b > 0")
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError("reg_incomplete_beta requires x in [0, 1]")
-    out = sp.betainc(a, b, x)
-    return float(out) if out.ndim == 0 else out
-
-
 def poisson_log_pmf(k, lam):
     """log of exp(-lam) * lam**k / k! with the lam = 0, k = 0 case equal to 0."""
     k = np.asarray(k, dtype=float)
@@ -83,16 +48,6 @@ def poisson_log_pmf(k, lam):
     # lam == 0: pmf is 1 at k == 0 and 0 elsewhere
     out = np.where(lam == 0.0, np.where(k == 0.0, 0.0, -np.inf), out)
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class HermiteBasisEval:
-    """Normalized Hermite functions h_0..h_N at a point, with the
-    cumulative integrals I_k(x) = int_0^x h_k(t) dt."""
-
-    order_max: int
-    values: np.ndarray
-    cumulative_integrals: np.ndarray
 
 
 def hermite_basis(x, order_max):
@@ -130,8 +85,3 @@ def hermite_basis(x, order_max):
         h_prev0, h_cur0 = h_cur0, -dk * h_prev0
     return values, integrals
 
-
-def hermite_eval(x, order_max):
-    """Hermite basis at a single point, packaged with its integrals."""
-    values, integrals = hermite_basis(float(x), order_max)
-    return HermiteBasisEval(int(order_max), values, integrals)

@@ -10,6 +10,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from smoothcdf import (
     ExperimentConfig,
@@ -64,6 +65,7 @@ def test_criterion_1_edf_mise_analytic_anchor(exp2):
             f"{time.time() - start:.1f}s]" + (f" failures: {failures}" if failures else ""))
 
 
+@pytest.mark.slow
 def test_criterion_2_table_reproduction(exp2):
     start = time.time()
     rows = [
@@ -89,6 +91,7 @@ def test_criterion_2_table_reproduction(exp2):
             f"{time.time() - start:.0f}s]")
 
 
+@pytest.mark.slow
 def test_criterion_3_ordering(exp2, weibull1, weibull2, weibull3):
     start = time.time()
     failures = []

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import ndtr, ndtri
 
 from smoothcdf import (
     QuantileBracketError,
@@ -12,11 +15,11 @@ from smoothcdf import (
     hermite_half_fit,
     hermite_half_standardized_fit,
     kernel_fit,
-    normal_cdf,
     sample,
     szasz_fit,
     szasz_operator,
 )
+from smoothcdf.estimators import KINDS, _Fitted
 from smoothcdf.special import poisson_log_pmf
 
 
@@ -175,7 +178,7 @@ def test_hermite_evaluate_closed_form_and_quadrature(exp2):
     fit = hermite_half_fit([0.0], 0)
     assert fit.evaluate(0.0) == 0.0
     # a_hat_0 * I_0(1) with I_0(1) = pi^(-1/4) sqrt(2 pi) (Phi(1) - 1/2)
-    expected = math.pi ** (-0.5) * math.sqrt(2.0 * math.pi) * (normal_cdf(1.0) - 0.5)
+    expected = math.pi ** (-0.5) * math.sqrt(2.0 * math.pi) * (ndtr(1.0) - 0.5)
     assert fit.evaluate(1.0) == pytest.approx(expected, abs=1e-12)
 
     fit = hermite_half_fit(sample(exp2, 8, 25), 12)
@@ -236,6 +239,89 @@ def test_quantile_domain_and_bracket_errors():
     stub = hermite_half_fit([0.0], 0)
     with pytest.raises(QuantileBracketError):
         stub.quantile(0.9)
+
+
+def test_kernel_quantile_widens_the_bracket_downward():
+    # the starting lower end X_1 - h already has Fhat = Phi(-1) >= 0.05
+    fit = kernel_fit([0.0], 1.0)
+    assert fit.evaluate(-1.0) >= 0.05
+    assert fit.quantile(0.05) == pytest.approx(ndtri(0.05), abs=1e-9)
+
+
+def test_bernstein_quantile_at_an_observation_at_zero():
+    # the observation at 0 puts mass 1/3 at the domain's lower edge
+    fit = bernstein_fit([0.0, 0.5, 0.9], 10)
+    assert fit.evaluate(0.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert fit.quantile(0.2) == 0.0
+    q = fit.quantile(0.5)
+    assert q > 0.0 and abs(fit.evaluate(q) - 0.5) <= 1e-8
+
+
+def test_szasz_quantile_widens_the_bracket_upward():
+    # Fhat(x) = 1 - exp(-x); the starting upper end 2 X_max + 10/m = 12
+    # stays below the level
+    fit = szasz_fit([1.0], 1)
+    p = 0.999999
+    assert fit.evaluate(12.0) < p
+    assert fit.quantile(p) == pytest.approx(-math.log1p(-p), abs=1e-8)
+
+
+def test_quantile_search_raises_on_each_side():
+    # below: the kernel estimate exceeds the level even at -1e6
+    with pytest.raises(QuantileBracketError):
+        kernel_fit([-2e6], 1.0).quantile(0.1)
+
+    # above: a curve with a plateau under the level, which no proper CDF
+    # of the package has, runs the bracket out to +1e6
+    class Plateau(_Fitted):
+        sample = np.array([1.0])
+
+        def _cdf(self, flat):
+            return 0.5 * (flat > 0.0)
+
+        def quantile(self, p):
+            return self._search(p, 0.0, 1.0)
+
+    with pytest.raises(QuantileBracketError):
+        Plateau().quantile(0.6)
+
+
+def _fit_kind(kind, values, k):
+    return fit_from_spec({"kind": kind, "m": k, "h": k / 20.0, "N": k}, values)
+
+
+_EDGE_SAMPLES = st.one_of(
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+    st.builds(lambda v, n: [v] * n, st.sampled_from([0.0, 0.3, 1.0]), st.integers(1, 5)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(KINDS), values=_EDGE_SAMPLES, k=st.integers(1, 40),
+       p=st.floats(0.01, 0.99))
+def test_estimator_properties_on_edge_samples(kind, values, k, p):
+    # n = 1, all-tied and exact-zero samples, through every family
+    fit = _fit_kind(kind, values, k)
+    xs = np.linspace(0.0, 1.0, 33)
+    vals = fit.evaluate(xs)
+    assert np.array_equal(vals, _fit_kind(kind, values[::-1], k).evaluate(xs))
+    if kind != "hermite_half":  # the truncated series is not a proper CDF
+        assert np.all((vals >= 0.0) & (vals <= 1.0))
+        assert np.all(np.diff(vals) >= -1e-14)
+    zeros = sum(v == 0.0 for v in values) / len(values)
+    if kind in ("edf", "bernstein"):
+        assert fit.evaluate(0.0) == zeros
+    elif kind != "kernel":  # the Gaussian kernel leaks mass below 0
+        assert fit.evaluate(0.0) == 0.0
+    try:
+        q = fit.quantile(p)
+    except QuantileBracketError:
+        assert kind == "hermite_half"  # its series may stay below the level
+        return
+    # q is inf{x: Fhat(x) >= p}, to the bisection's 1e-10
+    assert fit.evaluate(q) >= p
+    if kind != "hermite_half" and q > 0.0:
+        assert fit.evaluate(q - 1e-9) <= p
 
 
 def test_fit_from_spec(exp2):

@@ -152,6 +152,26 @@ def test_szasz_sweep_memory_is_bounded_at_large_order(exp2):
         assert mat[i, 0] == pytest.approx(ise(szasz_fit(rows[i], 20000), exp2), abs=1e-10)
 
 
+def test_bernstein_sweep_memory_is_bounded_at_large_order(beta33):
+    # at m = 5000 the counts of all 2000 repetitions would take 80 MB as
+    # integers and as much again as floats, next to a 20 MB binomial table;
+    # unchunked the sweep peaked at 182 MB.  The repetitions go in chunks of
+    # a bounded element count
+    cfg = ExperimentConfig(beta33, "bernstein", (5000,), n=20, M=2000, master_seed=5)
+    tracemalloc.start()
+    try:
+        mat = _ise_matrix(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 120e6, peak
+    small = _ise_matrix(ExperimentConfig(beta33, "bernstein", (5000,), n=20, M=3, master_seed=5))
+    rows = samples_matrix(beta33, 5, 3, 20)
+    for i in range(3):
+        assert mat[i, 0] == pytest.approx(small[i, 0], abs=1e-10)
+        assert mat[i, 0] == pytest.approx(ise(bernstein_fit(rows[i], 5000), beta33), abs=1e-10)
+
+
 def test_sweep_argmin_and_degenerate_grid(exp2):
     cfg = ExperimentConfig(exp2, "szasz", (2, 5, 11, 30), n=25, M=40, master_seed=2)
     res = parameter_sweep(cfg)
@@ -222,6 +242,7 @@ def test_normality_smooth_estimator_centering(beta33):
     assert abs(scaled.mean() - predicted) <= 3.0 * se
 
 
+@pytest.mark.slow
 def test_szasz_beats_edf_on_every_table_row(exp2, weibull1, weibull2, weibull3):
     # every model/sample-size pair of the benchmark study, M = 1000
     rows = [(exp2, n) for n in (20, 50, 100, 500)]

@@ -95,8 +95,6 @@ def _estimator_spec_from_args(args):
         spec["h"] = float(args.h)
     if args.standardize:
         spec["standardize"] = True
-    if args.mu is not None:
-        spec["mu"] = float(args.mu)
     if args.sigma is not None:
         spec["sigma"] = float(args.sigma)
     return spec
@@ -190,8 +188,7 @@ def cmd_normality(args):
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad normality config: {exc}") from exc
     try:
-        result = normality_experiment(dist, estimator, x, n, m_reps, master_seed,
-                                      workers=args.workers)
+        result = normality_experiment(dist, estimator, x, n, m_reps, master_seed)
     except KeyError as exc:
         raise ConfigError(f"estimator spec is missing {exc}") from exc
     except ValueError as exc:
@@ -278,10 +275,6 @@ def _ensure_dir(out_dir):
     return path
 
 
-def _default_workers():
-    return os.cpu_count() or 1
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="smoothcdf",
@@ -296,7 +289,6 @@ def build_parser():
     p.add_argument("--h", type=float, help="bandwidth for kernel")
     p.add_argument("--N", type=int, help="truncation order for hermite_half")
     p.add_argument("--standardize", action="store_true")
-    p.add_argument("--mu", type=float)
     p.add_argument("--sigma", type=float)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--points", help="comma-separated evaluation points")
@@ -307,13 +299,12 @@ def build_parser():
     p = sub.add_parser("sweep", help="Monte Carlo MISE over a parameter grid")
     p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("normality", help="sampling distribution of Fhat(x) vs normal law")
     p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--workers", type=int, default=_default_workers())
     p.set_defaults(func=cmd_normality)
 
     p = sub.add_parser("asymptotics", help="bias/variance coefficients and optimal orders")

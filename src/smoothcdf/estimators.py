@@ -2,15 +2,18 @@
 
 Every fit function sorts and validates its sample once and returns an
 immutable fitted object; evaluation is vectorized over the query points.
-Each fitted class holds its family's one evaluation formula: the normality
-experiment evaluates through it, and the batched sweep engines in
-``simulation`` are tested against it.
-The smooth half-line estimator is evaluated through its finite
-incomplete-gamma representation: with c_i = ceil(m X_i),
+Each family's formula is written once, here.  The kernel, Bernstein and
+Hermite formulas are functions over a leading row axis of samples
+(``_kernel_rows``, ``_bernstein_rows`` over ``_bernstein_survival``,
+``_hermite_coefficients``): a fitted object is the one-row case, and the
+sweeps in ``simulation`` pass chunks of repetitions.  The smooth
+half-line estimator is evaluated through its finite incomplete-gamma
+representation: with c_i = max(1, ceil(m X_i)),
 
     Fhat(x) = (1/n) sum_i P(c_i, m x),
 
-where P is the regularized lower incomplete gamma function.
+where P is the regularized lower incomplete gamma function; the Szasz
+sweep uses the Poisson series form and is tested against this one.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
 ]
 
 _X_MAX = 1e6  # quantile bracketing gives up past this point
+_ELEMENT_BUDGET = 4_000_000  # array elements one chunk of rows or points may allocate
 
 
 class QuantileBracketError(RuntimeError):
@@ -78,6 +82,60 @@ def _bisect_increasing(f, p, lo, hi, tol=1e-10):
         else:
             lo = mid
     return hi
+
+
+def _in_chunks(fn, items, width):
+    # fn over consecutive blocks of items along the first axis, each block at
+    # most _ELEMENT_BUDGET // width long; fn returns one value per item
+    out = np.empty(len(items))
+    step = max(1, _ELEMENT_BUDGET // width)
+    for i in range(0, len(items), step):
+        out[i:i + step] = fn(items[i:i + step])
+    return out
+
+
+def _row_bincount(idx, width_max):
+    # counts of 0..width_max in each row of a non-negative integer matrix
+    n_rows = idx.shape[0]
+    width = width_max + 1
+    offsets = (np.arange(n_rows, dtype=np.int64) * width)[:, None]
+    flat = (idx + offsets).ravel()
+    counts = np.bincount(flat, minlength=n_rows * width)
+    return counts.reshape(n_rows, width).astype(float)
+
+
+def _szasz_orders(samples, m):
+    # c_i = max(1, ceil(m X_i)); from 2**53 on a float no longer holds that integer
+    if m * float(np.max(samples)) >= 2.0 ** 53:
+        raise ValueError(f"m = {m} times the largest observation {float(np.max(samples)):g} "
+                         "is too large for ceil(m X) to be an exact integer (limit 2**53)")
+    return np.maximum(1, np.ceil(m * samples)).astype(np.int64)
+
+
+def _kernel_rows(samples, h, x):
+    # Fhat(x) per sample row: mean_i ndtr((x - X_i) / h)
+    return sp.ndtr((x[None, None, :] - samples[:, :, None]) / h).mean(axis=1)
+
+
+def _bernstein_survival(m, x):
+    # P(Bin(m, x) >= c) = I_x(c, m - c + 1) for c = 0..m, the c = 0 row equal to 1
+    c = np.arange(1, m + 1, dtype=float)[:, None]
+    table = np.ones((m + 1, x.size))
+    table[1:] = sp.betainc(c, m - c + 1.0, x[None, :])
+    return table
+
+
+def _bernstein_rows(samples, m, survival):
+    # Fhat per sample row: sum_k F_n(k/m) b_{k,m}(x) = (1/n) sum_c #{c_i = c} S[c]
+    # with c_i = ceil(m X_i) and S = _bernstein_survival(m, x)
+    orders = np.ceil(m * samples).astype(np.int64).clip(0, m)
+    return _row_bincount(orders, m) @ survival / samples.shape[1]
+
+
+def _hermite_coefficients(samples, scale, order_max):
+    # a_hat_k = mean_i h_k(X_i / scale) for k = 0..order_max, one row per sample row
+    vals, _ = hermite_basis((samples / scale).ravel(), order_max)
+    return vals.reshape(order_max + 1, *samples.shape).mean(axis=2).T
 
 
 class _Fitted:
@@ -160,13 +218,9 @@ class SzaszEstimator(_Fitted):
     _lower = 0.0
 
     def _cdf(self, flat):
-        out = np.empty(flat.size)
-        shapes = self.gamma_shapes.astype(float)
-        step = max(1, 2_000_000 // max(1, self.n))
-        for i in range(0, flat.size, step):
-            block = flat[i:i + step]
-            out[i:i + step] = sp.gammainc(shapes[:, None], self.m * block[None, :]).mean(axis=0)
-        return out
+        shapes = self.gamma_shapes.astype(float)[:, None]
+        return _in_chunks(lambda t: sp.gammainc(shapes, self.m * t[None, :]).mean(axis=0),
+                          flat, self.n)
 
     def density(self, x):
         """Derivative of the fitted CDF, a Poisson-weight mixture density."""
@@ -184,19 +238,15 @@ class BernsteinEstimator(_Fitted):
 
     sample: np.ndarray
     m: int
-    orders: np.ndarray  # ceil(m X_i) in [0, m]
     kind: str = field(default="bernstein", init=False)
     _lower = 0.0
     _upper = 1.0
 
     def _cdf(self, flat):
-        # P(Bin(m, x) >= c) = I_x(c, m - c + 1); the c = 0 rows contribute 1
-        c = self.orders.astype(float)
-        pos = c > 0
-        out = np.full((self.n, flat.size), 1.0)
-        if np.any(pos):
-            out[pos] = sp.betainc(c[pos, None], self.m - c[pos, None] + 1.0, flat[None, :])
-        return out.mean(axis=0)
+        rows = self.sample[None, :]
+        return _in_chunks(
+            lambda t: _bernstein_rows(rows, self.m, _bernstein_survival(self.m, t))[0],
+            flat, self.m + 1)
 
     def quantile(self, p):
         return self._search(p, 0.0, 1.0)
@@ -211,7 +261,7 @@ class KernelCDF(_Fitted):
     kind: str = field(default="kernel", init=False)
 
     def _cdf(self, flat):
-        return sp.ndtr((flat[None, :] - self.sample[:, None]) / self.h).mean(axis=0)
+        return _kernel_rows(self.sample[None, :], self.h, flat)[0]
 
     def quantile(self, p):
         return self._search(p, float(self.sample[0]) - self.h,
@@ -271,20 +321,19 @@ def szasz_fit(values, m):
 
     An observation exactly at 0 is assigned c_i = 1 (its smallest
     well-defined incomplete-gamma order); for continuous models the event
-    has probability zero.
+    has probability zero.  m times the largest observation must stay below
+    2**53, so that every c_i is an exact integer.
     """
     m = _check_order(m)
     x = _as_sample(values)
-    shapes = np.maximum(1, np.ceil(m * x)).astype(np.int64)
-    return SzaszEstimator(x, m, shapes)
+    return SzaszEstimator(x, m, _szasz_orders(x, m))
 
 
 def bernstein_fit(values, m):
     """Fit the Bernstein polynomial estimator on data in [0, 1]."""
     m = _check_order(m)
     x = _as_sample(values, upper=1.0)
-    orders = np.ceil(m * x).astype(np.int64).clip(0, m)
-    return BernsteinEstimator(x, m, orders)
+    return BernsteinEstimator(x, m)
 
 
 def kernel_fit(values, h):
@@ -316,8 +365,7 @@ def hermite_half_standardized_fit(values, order_max, mu, sigma, clip=False):
     if order_max < 0:
         raise ValueError("order_max must be >= 0")
     x = _as_sample(values)
-    values_matrix, _ = hermite_basis(x / sigma, order_max)
-    coef = values_matrix.mean(axis=1)
+    coef = _hermite_coefficients(x[None, :], sigma, order_max)[0]
     return HermiteHalfEstimator(x, order_max, coef, scale=sigma, clip=clip)
 
 

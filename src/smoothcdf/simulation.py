@@ -10,33 +10,32 @@ same per-repetition samples across the whole parameter grid (common
 random numbers), and every repetition's seed is derived from
 (master_seed, repetition_index), so results are independent of scheduling.
 
-The per-family grid kernels are algebraically identical to evaluating the
-fitted estimators point by point, just batched; the normality experiment
-evaluates the fitted estimators themselves, one fit per repetition.  The
-smooth half-line estimator, for instance, is swept in its Poisson series form
-
-    Fhat(x) = sum_k P(Poisson(m x) = k) C_k / n + P(Poisson(m x) > c_max),
-
-with C_k = #{ceil(m X_i) <= k} per repetition and c_max the largest
-ceil(m X_i).  The quadrature nodes go in fixed blocks, and each block
-takes Poisson weights only over the band of k where they are not
-negligible (theory.truncation_floor to theory.truncation_index, leaving
-out under 1e-30 on each side), so the work per order follows the width of
-the band rather than c_max times the node count.
+The kernel, Bernstein and Hermite formulas are the row-axis functions in
+``estimators``; a sweep hands them chunks of repetitions and keeps only
+what it amortises over the grid: one Bernstein survival table per order,
+and one Hermite coefficient matrix summed order by order.  The Szasz
+sweep is this module's own Poisson series form, banded by
+theory.truncation_floor and theory.truncation_index, and is tested
+against the incomplete-gamma form of the fitted object.  The normality
+experiment fits and evaluates each repetition through ``fit_from_spec``.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 from scipy import special as sp
 
 from . import models
-from .estimators import KINDS, EmpiricalCDF, fit_from_spec
+from .estimators import (
+    _ELEMENT_BUDGET, KINDS, EmpiricalCDF, _bernstein_rows, _bernstein_survival,
+    _hermite_coefficients, _in_chunks, _kernel_rows, _row_bincount, _szasz_orders,
+    fit_from_spec,
+)
 from .special import hermite_basis
 from .theory import truncation_floor, truncation_index
 
@@ -53,7 +52,6 @@ __all__ = [
     "ks_distance_normal",
 ]
 
-_ELEMENT_BUDGET = 4_000_000  # array elements one repetition chunk may allocate
 _NODE_BLOCK = 32  # quadrature nodes sharing one Poisson band in the Szasz sweep
 
 
@@ -147,11 +145,8 @@ def ise(fit, dist, nodes=512):
 
 def mise_monte_carlo(config, param, workers=1):
     """Monte Carlo MISE estimate and standard error at one parameter."""
-    cfg = ExperimentConfig(config.dist, config.estimator_family, (param,),
-                           config.n, config.M, config.master_seed,
-                           config.quadrature_nodes, config.standardize)
-    ise_mat = _ise_matrix(cfg, workers)
-    return _mean_and_se(ise_mat[:, 0])
+    mise, se = _mean_and_se(_ise_matrix(replace(config, param_grid=(param,)), workers))
+    return float(mise[0]), float(se[0])
 
 
 def parameter_sweep(config, workers=1):
@@ -160,12 +155,7 @@ def parameter_sweep(config, workers=1):
     Ties in the argmin break toward the smaller parameter (the grid is
     strictly increasing and the first minimum wins).
     """
-    ise_mat = _ise_matrix(config, workers)
-    mise = ise_mat.mean(axis=0)
-    if config.M > 1:
-        se = ise_mat.std(axis=0, ddof=1) / math.sqrt(config.M)
-    else:
-        se = np.zeros_like(mise)
+    mise, se = _mean_and_se(_ise_matrix(config, workers))
     j = int(np.argmin(mise))
     return SweepResult(config.param_grid, mise, se,
                        config.param_grid[j], float(mise[j]), float(se[j]))
@@ -176,7 +166,8 @@ def normality_experiment(dist, estimator_spec, x, n, M, master_seed, workers=1):
 
     Returns the M values together with the reference normal law
     (mean F(x), variance F(x)(1 - F(x))/n) and the Kolmogorov-Smirnov
-    distance between the two.
+    distance between the two.  The fits run one after another on the
+    calling thread; ``workers`` is accepted and has no effect.
     """
     x = float(x)
     fx = float(dist.cdf(x))
@@ -184,8 +175,7 @@ def normality_experiment(dist, estimator_spec, x, n, M, master_seed, workers=1):
         raise ValueError("normality experiment needs 0 < F(x) < 1")
     samples = samples_matrix(dist, master_seed, M, n)
     # one fit per row, by the same fitted objects the library hands out
-    values = np.array(_thread_map(
-        lambda row: fit_from_spec(estimator_spec, row, dist).evaluate(x), samples, workers))
+    values = np.array([fit_from_spec(estimator_spec, row, dist).evaluate(x) for row in samples])
     ref_sd = math.sqrt(fx * (1.0 - fx) / n)
     ks = ks_distance_normal(values, fx, ref_sd)
     return NormalityResult(x, int(n), int(M), values, fx, ref_sd, ks)
@@ -216,16 +206,14 @@ def _ise_matrix(config, workers=1):
         return np.repeat(col[:, None], len(config.param_grid), axis=1)
 
     x_nodes = np.asarray(dist.quantile(u), dtype=float)
-    if family == "szasz":
-        return _ise_szasz(samples, config.param_grid, u, w, x_nodes, workers)
-    if family == "bernstein":
-        if samples.max() > 1.0 or samples.min() < 0.0:
-            raise ValueError("bernstein sweeps need observations in [0, 1]")
-        return _ise_bernstein(samples, config.param_grid, u, w, x_nodes, workers)
-    if family == "kernel":
-        return _ise_kernel(samples, config.param_grid, u, w, x_nodes, workers)
-    scale = float(dist.sd) if config.standardize else 1.0
-    return _ise_hermite(samples, config.param_grid, u, w, x_nodes, scale)
+    if family == "hermite_half":
+        scale = float(dist.sd) if config.standardize else 1.0
+        return _ise_hermite(samples, config.param_grid, u, w, x_nodes, scale)
+    if family == "bernstein" and (samples.max() > 1.0 or samples.min() < 0.0):
+        raise ValueError("bernstein sweeps need observations in [0, 1]")
+    column = {"szasz": _ise_szasz, "bernstein": _ise_bernstein, "kernel": _ise_kernel}[family]
+    return np.stack(_thread_map(lambda param: column(samples, param, u, w, x_nodes),
+                                config.param_grid, workers), axis=1)
 
 
 def _edf_ise_from_u(u_mat):
@@ -238,100 +226,60 @@ def _edf_ise_from_u(u_mat):
     return (((levels - lo) ** 3 - (levels - hi) ** 3) / 3.0).sum(axis=1)
 
 
-def _row_bincount(idx, width_max):
-    n_rows = idx.shape[0]
-    width = width_max + 1
-    offsets = (np.arange(n_rows, dtype=np.int64) * width)[:, None]
-    flat = (idx + offsets).ravel()
-    counts = np.bincount(flat, minlength=n_rows * width)
-    return counts.reshape(n_rows, width).astype(float)
+def _ise_in_chunks(fhat_rows, samples, width, u, w):
+    # ISE of each repetition, fhat_rows taking chunks of _ELEMENT_BUDGET // width rows
+    return _in_chunks(lambda rows: ((fhat_rows(rows) - u) ** 2 * w).sum(axis=1), samples, width)
 
 
-def _ise_szasz(samples, grid, u, w, x_nodes, workers):
+def _ise_szasz(samples, param, u, w, x_nodes):
     # series form over the row-wise cumulative counts C[r, k] = #{c_i <= k}:
     # n Fhat(x_j) = sum_k P(Poisson(z_j) = k) C[r, k] + n P(Poisson(z_j) > c_max)
     # with z = m x, the sum taken per block of nodes over the band of k
-    # where their Poisson weights live
-    n_reps, n = samples.shape
-    x_max = float(samples.max())
+    # where their Poisson weights live (under 1e-30 is left out on each side)
+    n, m = samples.shape[1], int(param)
+    z = m * x_nodes
+    log_z = np.log(z)
+    c_max = max(1, math.ceil(m * float(samples.max())))
+    tail = sp.gammainc(float(c_max + 1), z)
+    k = np.arange(c_max + 1, dtype=float)[:, None]
+    log_fact = sp.gammaln(k + 1.0)
 
-    def column(param):
-        m = int(param)
-        z = m * x_nodes
-        log_z = np.log(z)
-        c_max = max(1, math.ceil(m * x_max))
-        tail = sp.gammainc(float(c_max + 1), z)
-        k = np.arange(c_max + 1, dtype=float)[:, None]
-        log_fact = sp.gammaln(k + 1.0)
-        chunk = max(1, _ELEMENT_BUDGET // (n + c_max + x_nodes.size))
-        out = np.empty(n_reps)
-        for i in range(0, n_reps, chunk):
-            c = np.maximum(1, np.ceil(m * samples[i:i + chunk])).astype(np.int64)
-            cum = _row_bincount(c, c_max)
-            np.cumsum(cum, axis=1, out=cum)
-            fhat = np.zeros((c.shape[0], z.size))
-            for j in range(0, z.size, _NODE_BLOCK):
-                cols = slice(j, j + _NODE_BLOCK)
-                lo = truncation_floor(z[cols][0])
-                hi = min(truncation_index(z[cols][-1]), c_max)
-                if lo <= hi:
-                    band = slice(lo, hi + 1)
-                    pmf = np.exp(k[band] * log_z[cols] - z[cols] - log_fact[band])
-                    fhat[:, cols] = cum[:, band] @ pmf
-            fhat = fhat / n + tail[None, :]
-            out[i:i + chunk] = ((fhat - u[None, :]) ** 2 * w[None, :]).sum(axis=1)
-        return out
+    def fhat_rows(rows):
+        cum = _row_bincount(_szasz_orders(rows, m), c_max)
+        np.cumsum(cum, axis=1, out=cum)
+        fhat = np.zeros((rows.shape[0], z.size))
+        for j in range(0, z.size, _NODE_BLOCK):
+            cols = slice(j, j + _NODE_BLOCK)
+            lo = truncation_floor(z[cols][0])
+            hi = min(truncation_index(z[cols][-1]), c_max)
+            if lo <= hi:
+                band = slice(lo, hi + 1)
+                pmf = np.exp(k[band] * log_z[cols] - z[cols] - log_fact[band])
+                fhat[:, cols] = cum[:, band] @ pmf
+        return fhat / n + tail
 
-    return np.stack(_thread_map(column, grid, workers), axis=1)
+    return _ise_in_chunks(fhat_rows, samples, n + c_max + z.size, u, w)
 
 
-def _ise_bernstein(samples, grid, u, w, x_nodes, workers):
-    n_reps, n = samples.shape
-
-    def column(param):
-        m = int(param)
-        # P(Bin(m, x) >= c) = I_x(c, m - c + 1), with the c = 0 row equal to 1
-        orders = np.arange(1, m + 1, dtype=float)
-        table = np.empty((m + 1, x_nodes.size))
-        table[0] = 1.0
-        table[1:] = sp.betainc(orders[:, None], m - orders[:, None] + 1.0, x_nodes[None, :])
-        chunk = max(1, _ELEMENT_BUDGET // (n + m + x_nodes.size))
-        out = np.empty(n_reps)
-        for i in range(0, n_reps, chunk):
-            c = np.clip(np.ceil(m * samples[i:i + chunk]).astype(np.int64), 0, m)
-            fhat = _row_bincount(c, m) @ table / n
-            out[i:i + chunk] = ((fhat - u[None, :]) ** 2 * w[None, :]).sum(axis=1)
-        return out
-
-    return np.stack(_thread_map(column, grid, workers), axis=1)
+def _ise_bernstein(samples, param, u, w, x_nodes):
+    m = int(param)
+    survival = _bernstein_survival(m, x_nodes)
+    return _ise_in_chunks(lambda rows: _bernstein_rows(rows, m, survival),
+                          samples, samples.shape[1] + m + x_nodes.size, u, w)
 
 
-def _ise_kernel(samples, grid, u, w, x_nodes, workers):
-    n_reps, n = samples.shape
-    chunk = max(1, _ELEMENT_BUDGET // (n * x_nodes.size))
-
-    def column(param):
-        h = float(param)
-        out = np.empty(n_reps)
-        for i in range(0, n_reps, chunk):
-            block = samples[i:i + chunk]
-            fhat = sp.ndtr((x_nodes[None, None, :] - block[:, :, None]) / h).mean(axis=1)
-            out[i:i + chunk] = ((fhat - u[None, :]) ** 2 * w[None, :]).sum(axis=1)
-        return out
-
-    return np.stack(_thread_map(column, grid, workers), axis=1)
+def _ise_kernel(samples, param, u, w, x_nodes):
+    return _ise_in_chunks(lambda rows: _kernel_rows(rows, float(param), x_nodes),
+                          samples, samples.shape[1] * x_nodes.size, u, w)
 
 
 def _ise_hermite(samples, grid, u, w, x_nodes, scale):
     # one coefficient matrix serves every truncation order in the grid
     n_reps, n = samples.shape
     n_max = int(grid[-1])
-    coefs = np.empty((n_reps, n_max + 1))
     chunk = max(1, _ELEMENT_BUDGET // (n * (n_max + 1)))
-    for i in range(0, n_reps, chunk):
-        block = samples[i:i + chunk] / scale
-        vals, _ = hermite_basis(block.ravel(), n_max)
-        coefs[i:i + chunk] = vals.reshape(n_max + 1, block.shape[0], n).mean(axis=2).T
+    coefs = np.concatenate([_hermite_coefficients(samples[i:i + chunk], scale, n_max)
+                            for i in range(0, n_reps, chunk)])
     _, integrals = hermite_basis(x_nodes / scale, n_max)
 
     wanted = {int(g): j for j, g in enumerate(grid)}
@@ -344,13 +292,12 @@ def _ise_hermite(samples, grid, u, w, x_nodes, scale):
     return out
 
 
-def _mean_and_se(values):
-    est = float(values.mean())
-    if values.size > 1:
-        se = float(values.std(ddof=1) / math.sqrt(values.size))
-    else:
-        se = 0.0
-    return est, se
+def _mean_and_se(ise_mat):
+    # Monte Carlo mean of each column and its standard error
+    mise = ise_mat.mean(axis=0)
+    if ise_mat.shape[0] == 1:
+        return mise, np.zeros_like(mise)
+    return mise, ise_mat.std(axis=0, ddof=1) / math.sqrt(ise_mat.shape[0])
 
 
 def _thread_map(fn, items, workers):

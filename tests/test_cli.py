@@ -31,6 +31,15 @@ def test_estimate_szasz_row(tmp_path):
     assert "2,0.8646647167633873" in out
 
 
+def test_estimate_szasz_order_overflow_is_a_config_error(tmp_path, capsys):
+    sample = tmp_path / "s.txt"
+    _write_sample(sample, [1.0, 1e19])
+    code = main(["estimate", "--sample", str(sample), "--kind", "szasz", "--m", "1",
+                 "--points", "2", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "too large" in capsys.readouterr().err
+
+
 def test_estimate_sample_file_errors(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("# only a comment\n", encoding="utf-8")
@@ -110,8 +119,7 @@ def test_normality_command(tmp_path):
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
-    assert main(["normality", "--config", str(cfg_path), "--out-dir", str(tmp_path),
-                 "--workers", "1"]) == 0
+    assert main(["normality", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
     values = (tmp_path / "normality_values.csv").read_text().strip().splitlines()
     assert values[0] == "value"
     assert len(values) == 201
@@ -162,7 +170,7 @@ def test_estimate_standardized_hermite_and_missing_param(tmp_path, capsys):
     sample = tmp_path / "s.txt"
     _write_sample(sample, [0.2, 0.5, 1.1])
     code = main(["estimate", "--sample", str(sample), "--kind", "hermite_half",
-                 "--N", "8", "--standardize", "--mu", "0.5", "--sigma", "0.5",
+                 "--N", "8", "--standardize", "--sigma", "0.5",
                  "--points", "0.5,1", "--out-dir", str(tmp_path)])
     assert code == 0
     assert len((tmp_path / "estimate.csv").read_text().strip().splitlines()) == 3

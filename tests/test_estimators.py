@@ -53,6 +53,15 @@ def test_szasz_fit_precomputed_orders():
         szasz_fit([1.0], 0)
 
 
+def test_szasz_fit_rejects_orders_beyond_exact_integers():
+    # ceil(m X) must be an exact integer: m * max(X) >= 2**53 is refused, not cast to NaN
+    with pytest.raises(ValueError, match="too large"):
+        szasz_fit([1e19], 1)
+    with pytest.raises(ValueError, match="too large"):
+        szasz_fit([1.0, 1e15], 10_000)
+    assert szasz_fit([2.0 ** 52], 1).gamma_shapes[0] == 2 ** 52
+
+
 def test_szasz_boundary_and_closed_form():
     fit = szasz_fit([1.0], 1)
     assert fit.evaluate(0.0) == 0.0
@@ -141,17 +150,24 @@ def test_bernstein_values():
 
 
 def test_bernstein_matches_direct_series(beta33):
-    # dual route: incomplete-beta survival form vs explicit weighted sum
+    # three routes: the survival-table form the fit uses, the explicit
+    # weighted sum sum_k F_n(k/m) b_{k,m}(x), and one incomplete beta
+    # I_x(c_i, m - c_i + 1) per observation (c_i = 0 contributes 1);
+    # m = 17 < n, 45 > n and 60, 200 >= 2n
+    from scipy.special import betainc
     from scipy.stats import binom
 
     s = sample(beta33, 21, 30)
-    m = 17
-    fit = bernstein_fit(s, m)
     xs = np.linspace(0.01, 0.99, 23)
-    k = np.arange(m + 1)
-    edf_at_grid = np.searchsorted(s, k / m, side="right") / s.size
-    direct = np.array([np.sum(edf_at_grid * binom.pmf(k, m, x)) for x in xs])
-    assert np.allclose(fit.evaluate(xs), direct, atol=1e-10)
+    for m in (17, 45, 60, 200):
+        fit = bernstein_fit(s, m)
+        k = np.arange(m + 1)
+        edf_at_grid = np.searchsorted(s, k / m, side="right") / s.size
+        direct = np.array([np.sum(edf_at_grid * binom.pmf(k, m, x)) for x in xs])
+        assert np.allclose(fit.evaluate(xs), direct, atol=1e-10)
+        c = np.ceil(m * s)[:, None]
+        per_observation = np.where(c > 0, betainc(np.maximum(c, 1.0), m - c + 1.0, xs), 1.0)
+        assert np.max(np.abs(fit.evaluate(xs) - per_observation.mean(axis=0))) <= 1e-13
 
 
 def test_kernel_values():

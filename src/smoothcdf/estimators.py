@@ -14,6 +14,14 @@ representation: with c_i = max(1, ceil(m X_i)),
 
 where P is the regularized lower incomplete gamma function; the Szasz
 sweep uses the Poisson series form and is tested against this one.
+Observations sharing an order give equal terms, so the Szasz and
+Bernstein fits keep the distinct orders of their sample and their counts.
+The Szasz fit computes one incomplete gamma (and one Poisson weight for
+``density``) per distinct order and expands the rows back by the counts
+before the same mean over observations (``SzaszEstimator._per_observation``),
+so its values equal the per-observation form bit for bit.  The Bernstein
+fit builds its survival table only for the occupied orders, at most
+min(n, m + 1) rows; the Bernstein sweep keeps the full table.
 """
 
 from __future__ import annotations
@@ -117,19 +125,25 @@ def _kernel_rows(samples, h, x):
     return sp.ndtr((x[None, None, :] - samples[:, :, None]) / h).mean(axis=1)
 
 
-def _bernstein_survival(m, x):
-    # P(Bin(m, x) >= c) = I_x(c, m - c + 1) for c = 0..m, the c = 0 row equal to 1
-    c = np.arange(1, m + 1, dtype=float)[:, None]
-    table = np.ones((m + 1, x.size))
-    table[1:] = sp.betainc(c, m - c + 1.0, x[None, :])
+def _bernstein_orders(samples, m):
+    return np.ceil(m * samples).astype(np.int64).clip(0, m)
+
+
+def _bernstein_survival(m, x, orders=None):
+    # P(Bin(m, x) >= c) = I_x(c, m - c + 1), one row per c in orders (default
+    # 0..m), a c = 0 row equal to 1
+    c = np.arange(m + 1) if orders is None else np.asarray(orders)
+    table = np.ones((c.size, x.size))
+    pos = c > 0
+    shapes = c[pos].astype(float)[:, None]
+    table[pos] = sp.betainc(shapes, m - shapes + 1.0, x[None, :])
     return table
 
 
 def _bernstein_rows(samples, m, survival):
     # Fhat per sample row: sum_k F_n(k/m) b_{k,m}(x) = (1/n) sum_c #{c_i = c} S[c]
     # with c_i = ceil(m X_i) and S = _bernstein_survival(m, x)
-    orders = np.ceil(m * samples).astype(np.int64).clip(0, m)
-    return _row_bincount(orders, m) @ survival / samples.shape[1]
+    return _row_bincount(_bernstein_orders(samples, m), m) @ survival / samples.shape[1]
 
 
 def _hermite_coefficients(samples, scale, order_max):
@@ -213,20 +227,33 @@ class SzaszEstimator(_Fitted):
 
     sample: np.ndarray
     m: int
-    gamma_shapes: np.ndarray  # c_i = max(1, ceil(m X_i)), one per observation
+    orders: np.ndarray  # the distinct c_i = max(1, ceil(m X_i)), increasing
+    counts: np.ndarray  # how many observations share each order
     kind: str = field(default="szasz", init=False)
     _lower = 0.0
 
+    @property
+    def gamma_shapes(self):
+        """c_i = max(1, ceil(m X_i)), one per observation."""
+        return np.repeat(self.orders, self.counts)
+
+    def _per_observation(self, table):
+        # one row per observation from one row per distinct order, then the
+        # mean over observations; a counts-weighted sum would round differently
+        return np.repeat(table, self.counts, axis=0).mean(axis=0)
+
     def _cdf(self, flat):
-        shapes = self.gamma_shapes.astype(float)[:, None]
-        return _in_chunks(lambda t: sp.gammainc(shapes, self.m * t[None, :]).mean(axis=0),
-                          flat, self.n)
+        shapes = self.orders.astype(float)[:, None]
+        return _in_chunks(
+            lambda t: self._per_observation(sp.gammainc(shapes, self.m * t[None, :])),
+            flat, self.n)
 
     def density(self, x):
         """Derivative of the fitted CDF, a Poisson-weight mixture density."""
-        k = (self.gamma_shapes - 1).astype(float)[:, None]
+        k = (self.orders - 1).astype(float)[:, None]
         return self._pointwise(
-            lambda t: self.m * np.exp(poisson_log_pmf(k, self.m * t[None, :])).mean(axis=0), x)
+            lambda t: self.m * self._per_observation(
+                np.exp(poisson_log_pmf(k, self.m * t[None, :]))), x)
 
     def quantile(self, p):
         return self._search(p, 0.0, 2.0 * float(self.sample[-1]) + 10.0 / self.m)
@@ -238,15 +265,17 @@ class BernsteinEstimator(_Fitted):
 
     sample: np.ndarray
     m: int
+    orders: np.ndarray  # the distinct c_i = ceil(m X_i), increasing
+    counts: np.ndarray  # how many observations share each order
     kind: str = field(default="bernstein", init=False)
     _lower = 0.0
     _upper = 1.0
 
     def _cdf(self, flat):
-        rows = self.sample[None, :]
+        # _bernstein_rows on the occupied rows of the survival table only
         return _in_chunks(
-            lambda t: _bernstein_rows(rows, self.m, _bernstein_survival(self.m, t))[0],
-            flat, self.m + 1)
+            lambda t: self.counts @ _bernstein_survival(self.m, t, self.orders) / self.n,
+            flat, self.orders.size)
 
     def quantile(self, p):
         return self._search(p, 0.0, 1.0)
@@ -326,14 +355,14 @@ def szasz_fit(values, m):
     """
     m = _check_order(m)
     x = _as_sample(values)
-    return SzaszEstimator(x, m, _szasz_orders(x, m))
+    return SzaszEstimator(x, m, *np.unique(_szasz_orders(x, m), return_counts=True))
 
 
 def bernstein_fit(values, m):
     """Fit the Bernstein polynomial estimator on data in [0, 1]."""
     m = _check_order(m)
     x = _as_sample(values, upper=1.0)
-    return BernsteinEstimator(x, m)
+    return BernsteinEstimator(x, m, *np.unique(_bernstein_orders(x, m), return_counts=True))
 
 
 def kernel_fit(values, h):

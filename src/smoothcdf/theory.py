@@ -8,7 +8,12 @@ min-index double sums use the identity
     sum_{k,l} g(k ^ l) V_k V_l = sum_k g(k) V_k (2 Q_k - V_k),
     Q_k = sum_{l >= k} V_l,
 
-so every quantity is O(K) instead of O(K^2).
+so every quantity is O(K) instead of O(K^2).  The sums run over the band
+between ``truncation_floor`` and ``truncation_index`` only (``_band``):
+below the floor the Poisson mass is under 1e-30 too, and the suffix sums
+Q_k of the kept k are the same as over the full range.  At z = 5e5 that
+is about 17,000 terms instead of 500,000.  ``poisson_weights`` pads the
+band with zeros below the floor, so its vector still runs over 0..K.
 """
 
 from __future__ import annotations
@@ -78,7 +83,13 @@ class ExactMoments:
     truncation_error_bound: float
 
 
-def poisson_weights(m, x):
+def _band(m, x):
+    """Poisson(m x) weights on the truncation band, and the tail above it.
+
+    Returns (k, v, tail): the float indices k = truncation_floor(mx) ..
+    truncation_index(mx) (just k = 0 at x = 0), their weights V_k and the
+    analytic tail P(Poisson(mx) > k[-1]).
+    """
     m = int(m)
     x = float(x)
     if m < 1:
@@ -87,37 +98,38 @@ def poisson_weights(m, x):
         raise ValueError("x must be >= 0")
     z = m * x
     if z == 0.0:
-        return PoissonWeightVector(m, x, 0, np.array([1.0]), 0.0)
+        return np.zeros(1), np.ones(1), 0.0
     k_max = truncation_index(z)
-    k = np.arange(k_max + 1, dtype=float)
-    weights = np.exp(poisson_log_pmf(k, z))
-    # analytic tail: P(Poisson(z) >= k_max + 1)
-    tail = float(reg_lower_gamma(k_max + 1.0, z))
-    return PoissonWeightVector(m, x, k_max, weights, tail)
+    k = np.arange(truncation_floor(z), k_max + 1, dtype=float)
+    return k, np.exp(poisson_log_pmf(k, z)), float(reg_lower_gamma(k_max + 1.0, z))
+
+
+def poisson_weights(m, x):
+    """Poisson(m x) weights for k = 0..K, zero below ``truncation_floor``."""
+    k, v, tail = _band(m, x)
+    k_max = int(k[-1])
+    weights = np.zeros(k_max + 1)
+    weights[k_max + 1 - v.size:] = v
+    return PoissonWeightVector(int(m), float(x), k_max, weights, tail)
 
 
 def _weights_and_suffix(m, x):
-    pw = poisson_weights(m, x)
-    v = pw.weights
-    # Q_k = sum_{l >= k} V_l including the analytic tail beyond k_max
-    q = np.cumsum(v[::-1])[::-1] + pw.tail_mass
-    k = np.arange(v.size, dtype=float)
-    return pw, v, q, k
+    k, v, tail = _band(m, x)
+    # Q_k = sum_{l >= k} V_l including the analytic tail beyond the band
+    q = np.cumsum(v[::-1])[::-1] + tail
+    return k, v, q, tail
 
 
 def szasz_operator(dist, m, x):
     """The smoothing operator applied to the true CDF: sum F(k/m) V_k(x)."""
-    pw = poisson_weights(int(m), float(x))
-    if pw.x == 0.0:
-        return float(dist.cdf(0.0))
-    k = np.arange(pw.k_max + 1, dtype=float)
-    return float(np.sum(dist.cdf(k / pw.m) * pw.weights))
+    k, v, _ = _band(m, x)
+    return float(np.sum(dist.cdf(k / int(m)) * v))
 
 
 def L_m(m, x):
     """Sum of squared Poisson weights; the variance-reduction kernel."""
-    pw = poisson_weights(int(m), float(x))
-    return float(np.sum(pw.weights**2))
+    _, v, _ = _band(m, x)
+    return float(np.sum(v**2))
 
 
 def weighted_L_integral(m, a, moment=0):
@@ -181,7 +193,7 @@ def R_tilde_1(m, x):
     x = float(x)
     if x <= 0.0:
         raise ValueError("x must be positive")
-    _, v, q, k = _weights_and_suffix(m, x)
+    k, v, q, _ = _weights_and_suffix(m, x)
     return float(math.sqrt(m) * np.sum((k / m - x) * v * (2.0 * q - v)))
 
 
@@ -195,7 +207,7 @@ def R_j(m, x, j):
         raise ValueError("x must be >= 0")
     if x == 0.0:
         return 0.0
-    _, v, q, k = _weights_and_suffix(m, x)
+    k, v, q, _ = _weights_and_suffix(m, x)
     upper = q - v  # sum over l > k
     return float(m ** (-j) * np.sum((k - m * x) ** j * v * upper))
 
@@ -214,13 +226,13 @@ def szasz_exact_moments(dist, m, n, x):
         raise ValueError("x must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
-    pw, v, q, k = _weights_and_suffix(m, x)
+    k, v, q, tail = _weights_and_suffix(m, x)
     fk = np.asarray(dist.cdf(k / m), dtype=float)
     s_m = float(np.sum(fk * v))
     second = float(np.sum(fk * v * (2.0 * q - v)))
     variance = (second - s_m**2) / n
     bias = s_m - float(dist.cdf(x))
-    return ExactMoments(m, n, x, s_m, bias, max(variance, 0.0), pw.tail_mass)
+    return ExactMoments(m, n, x, s_m, bias, max(variance, 0.0), tail)
 
 
 def exact_deficiency_local(dist, m, n, x):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import ndtr, ndtri
+from scipy.special import gammainc, ndtr, ndtri
 
 from smoothcdf import (
     QuantileBracketError,
@@ -19,7 +19,7 @@ from smoothcdf import (
     szasz_fit,
     szasz_operator,
 )
-from smoothcdf.estimators import KINDS, _Fitted
+from smoothcdf.estimators import KINDS, SzaszEstimator, _Fitted
 from smoothcdf.special import poisson_log_pmf
 
 
@@ -60,6 +60,49 @@ def test_szasz_fit_rejects_orders_beyond_exact_integers():
     with pytest.raises(ValueError, match="too large"):
         szasz_fit([1.0, 1e15], 10_000)
     assert szasz_fit([2.0 ** 52], 1).gamma_shapes[0] == 2 ** 52
+
+
+class _PerObservationSzasz(SzaszEstimator):
+    """The Szasz fit with one incomplete gamma and one Poisson weight per
+    observation, c_i = max(1, ceil(m X_i)) taken from the sample itself."""
+
+    def _shapes(self):
+        return np.maximum(1.0, np.ceil(self.m * self.sample))[:, None]
+
+    def _cdf(self, flat):
+        return gammainc(self._shapes(), self.m * flat[None, :]).mean(axis=0)
+
+    def density(self, x):
+        k = self._shapes() - 1.0
+        return self._pointwise(
+            lambda t: self.m * np.exp(poisson_log_pmf(k, self.m * t[None, :])).mean(axis=0), x)
+
+
+def test_szasz_fit_equals_the_per_observation_form_bitwise(exp2):
+    # one incomplete gamma per distinct order, expanded back by the counts,
+    # gives the per-observation values bit for bit
+    cases = [
+        ([0.3, 0.3, 0.7, 1.2, 1.2, 1.2, 2.5], 10),  # ties
+        ([0.0, 0.05, 0.4, 0.4, 3.0], 20),  # 0 and 0.05 both give c = 1
+        ([0.8] * 6, 7),  # all tied
+        ([1.3], 5),  # n = 1
+        (sample(exp2, 6, 1000), 100),  # about half the orders distinct
+        (sample(exp2, 5, 300), 10**6),  # every order distinct
+    ]
+    xs = np.linspace(0.0, 4.0, 57)
+    for values, m in cases:
+        fit = szasz_fit(values, m)
+        ref = _PerObservationSzasz(fit.sample, fit.m, fit.orders, fit.counts)
+        assert np.array_equal(fit.gamma_shapes, ref._shapes()[:, 0])
+        assert fit.counts.sum() == fit.n
+        assert np.array_equal(fit.evaluate(xs), ref.evaluate(xs))
+        assert fit.evaluate(0.9) == ref.evaluate(0.9)
+        assert np.array_equal(fit.density(xs), ref.density(xs))
+        assert fit.density(0.9) == ref.density(0.9)
+        for p in (0.05, 0.3, 0.5, 0.9):
+            assert fit.quantile(p) == ref.quantile(p)
+    assert fit.orders.size == fit.n  # the last case: every order distinct
+    assert szasz_fit([0.8] * 6, 7).orders.size == 1
 
 
 def test_szasz_boundary_and_closed_form():
@@ -153,14 +196,15 @@ def test_bernstein_matches_direct_series(beta33):
     # three routes: the survival-table form the fit uses, the explicit
     # weighted sum sum_k F_n(k/m) b_{k,m}(x), and one incomplete beta
     # I_x(c_i, m - c_i + 1) per observation (c_i = 0 contributes 1);
-    # m = 17 < n, 45 > n and 60, 200 >= 2n
+    # m = 17 < n, 45 > n and 60, 200 >= 2n at n = 30, and m = 5000 >> n = 20
     from scipy.special import betainc
     from scipy.stats import binom
 
-    s = sample(beta33, 21, 30)
     xs = np.linspace(0.01, 0.99, 23)
-    for m in (17, 45, 60, 200):
+    for n, m in ((30, 17), (30, 45), (30, 60), (30, 200), (20, 5000)):
+        s = sample(beta33, 21, n)
         fit = bernstein_fit(s, m)
+        assert fit.orders.size <= min(n, m + 1)
         k = np.arange(m + 1)
         edf_at_grid = np.searchsorted(s, k / m, side="right") / s.size
         direct = np.array([np.sum(edf_at_grid * binom.pmf(k, m, x)) for x in xs])
@@ -313,12 +357,16 @@ _EDGE_SAMPLES = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(KINDS), values=_EDGE_SAMPLES, k=st.integers(1, 40),
-       p=st.floats(0.01, 0.99))
-def test_estimator_properties_on_edge_samples(kind, values, k, p):
-    # n = 1, all-tied and exact-zero samples, through every family
+@given(kind=st.sampled_from(KINDS), unit=_EDGE_SAMPLES, k=st.integers(1, 40),
+       p=st.floats(0.01, 0.99), scale=st.sampled_from([1.0, 1e-300, 1e6]))
+def test_estimator_properties_on_edge_samples(kind, unit, k, p, scale):
+    # n = 1, all-tied and exact-zero samples, through every family, at unit
+    # scale, at 1e-300 and at 1e6 (Bernstein data stay in [0, 1])
+    if kind == "bernstein":
+        scale = min(scale, 1.0)
+    values = [v * scale for v in unit]
     fit = _fit_kind(kind, values, k)
-    xs = np.linspace(0.0, 1.0, 33)
+    xs = np.linspace(0.0, 1.0, 33) * max(scale, 1.0)
     vals = fit.evaluate(xs)
     assert np.array_equal(vals, _fit_kind(kind, values[::-1], k).evaluate(xs))
     if kind != "hermite_half":  # the truncated series is not a proper CDF

@@ -117,7 +117,7 @@ def test_quadrature_node_doubling_is_converged(exp2):
         assert abs(ise(fit, exp2, nodes=512) / ise(fit, exp2, nodes=2048) - 1.0) <= 1e-5
 
 
-def test_sweep_determinism_and_workers(exp2):
+def test_sweep_determinism_and_workers(exp2, beta33):
     cfg = ExperimentConfig(exp2, "szasz", tuple(range(2, 40)), n=20, M=60, master_seed=17)
     r1 = parameter_sweep(cfg, workers=1)
     r2 = parameter_sweep(cfg, workers=1)
@@ -126,6 +126,16 @@ def test_sweep_determinism_and_workers(exp2):
     assert np.array_equal(r1.mise, r4.mise)
     assert np.array_equal(r1.se, r4.se)
     assert r1.argmin_param == r4.argmin_param
+    # every other family, byte for byte at 1, 2 and 4 workers
+    cases = [("edf", (0,), exp2), ("kernel", (0.05, 0.1, 0.2, 0.4), exp2),
+             ("bernstein", (3, 10, 30, 90), beta33), ("hermite_half", (2, 6, 12, 20), exp2)]
+    for family, grid, dist in cases:
+        cfg = ExperimentConfig(dist, family, grid, n=15, M=40, master_seed=23)
+        runs = [parameter_sweep(cfg, workers=w) for w in (1, 2, 4)]
+        for r in runs[1:]:
+            assert r.mise.tobytes() == runs[0].mise.tobytes(), family
+            assert r.se.tobytes() == runs[0].se.tobytes(), family
+            assert r.argmin_param == runs[0].argmin_param, family
 
 
 def test_szasz_sweep_memory_is_bounded_at_large_order(exp2):

@@ -18,6 +18,7 @@ from smoothcdf import (
     szasz_operator,
     weighted_L_integral,
 )
+from smoothcdf.special import poisson_log_pmf
 from smoothcdf.theory import truncation_floor, truncation_index
 
 
@@ -46,6 +47,49 @@ def test_truncation_band_leaves_out_under_1e30():
         assert below < 1e-30, z
         assert sp.gammainc(hi + 1, z) < 1e-30, z
     assert truncation_floor(250.0) > 0
+
+
+def _full_range(m, x):
+    # weights V_k, k = 0..K, and suffix sums Q_k over the whole range, as
+    # the sums ran before they were cut to the truncation band
+    z = m * x
+    k_max = truncation_index(z) if z > 0.0 else 0
+    k = np.arange(k_max + 1, dtype=float)
+    v = np.exp(poisson_log_pmf(k, z))
+    q = np.cumsum(v[::-1])[::-1] + sp.gammainc(k_max + 1.0, z)
+    return k, v, q
+
+
+def test_band_sums_match_the_full_range(exp2):
+    # z = m x from 0 to 5e5; the band drops k below truncation_floor(z)
+    def close(got, want, scale=None):
+        return abs(got - want) <= 1e-14 * abs(want if scale is None else scale)
+
+    for m, x in ((5, 0.0), (1, 1e-7), (3, 1.5), (100, 1.5), (100, 2.5), (100, 4.0),
+                 (1000, 1.0), (7, 5e3), (10**4, 4.0), (10**4, 10.0), (10**4, 50.0)):
+        k, v, q = _full_range(m, x)
+        z = m * x
+        pw = poisson_weights(m, x)
+        assert pw.k_max == k[-1] and pw.weights.size == k.size
+        lo = truncation_floor(z) if z > 0.0 else 0
+        assert np.array_equal(pw.weights[lo:], v[lo:])
+        assert not pw.weights[:lo].any() and np.all(v[:lo] < 1e-30)
+        assert close(L_m(m, x), float(np.sum(v**2)))
+        for j in (0, 1, 2):
+            want = float(m ** (-j) * np.sum((k - m * x) ** j * v * (q - v)))
+            assert close(R_j(m, x, j), want), (m, x, j)
+        if x == 0.0:
+            continue
+        assert close(R_tilde_1(m, x), math.sqrt(m) * float(np.sum((k / m - x) * v * (2.0 * q - v))))
+        assert close(szasz_operator(exp2, m, x), float(np.sum(exp2.cdf(k / m) * v)))
+        fk = exp2.cdf(k / m)
+        s_m = float(np.sum(fk * v))
+        second = float(np.sum(fk * v * (2.0 * q - v)))
+        em = szasz_exact_moments(exp2, m, 3, x)
+        assert close(em.s_m, s_m)
+        # bias and variance subtract sums of order one: compare at their scale
+        assert close(em.bias, s_m - float(exp2.cdf(x)), scale=s_m)
+        assert close(em.variance, max((second - s_m**2) / 3, 0.0), scale=second / 3)
 
 
 def test_szasz_operator(exp2):

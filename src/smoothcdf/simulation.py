@@ -10,6 +10,12 @@ same per-repetition samples across the whole parameter grid (common
 random numbers), and every repetition's seed is derived from
 (master_seed, repetition_index), so results are independent of scheduling.
 
+Estimators compared on the same (model, seed, n) share one draw as well:
+``samples_matrix`` keeps its most recent matrix, keyed on the identity of
+the model object, the normalised seed and n, and answers any smaller
+repetition count with a prefix of it.  The matrix is read-only, so no
+caller can change the samples another caller sees.
+
 The kernel, Bernstein and Hermite formulas are the row-axis functions in
 ``estimators``; a sweep hands them chunks of repetitions and keeps only
 what it amortises over the grid: one Bernstein survival table per order,
@@ -53,6 +59,8 @@ __all__ = [
 ]
 
 _NODE_BLOCK = 32  # quadrature nodes sharing one Poisson band in the Szasz sweep
+
+_last_draw = None  # (dist, seed, n, rows) of the most recent samples_matrix draw
 
 
 @dataclass(frozen=True)
@@ -114,10 +122,33 @@ def repetition_seed(master_seed, index):
 
 
 def samples_matrix(dist, master_seed, n_reps, n):
-    """n_reps independent sorted samples of size n, one per row."""
-    out = np.empty((int(n_reps), int(n)))
-    for i in range(int(n_reps)):
-        out[i] = models.sample(dist, repetition_seed(master_seed, i), n)
+    """n_reps independent sorted samples of size n, one per row, read-only.
+
+    Row i is ``models.sample(dist, repetition_seed(master_seed, i), n)``.
+    The most recent matrix is kept and shared: a later call with the same
+    ``dist`` object (compared by identity), seed and n gets the first
+    n_reps rows of it back without drawing, so estimators compared on the
+    same seed see the same samples at the cost of one draw.  A call that
+    asks for more rows, or for other inputs, draws afresh and replaces it.
+    """
+    global _last_draw
+    n_reps, n = int(n_reps), int(n)
+    if n_reps < 1:
+        raise ValueError("n_reps must be >= 1")
+    seed = int(master_seed) & 0xFFFF_FFFF_FFFF_FFFF
+    # one read of the shared entry: a concurrent caller can replace it, so
+    # a race may cost a redraw but never hands out rows of other inputs
+    entry = _last_draw
+    if entry is not None and entry[0] is dist and entry[1:3] == (seed, n) \
+            and n_reps <= entry[3].shape[0]:
+        return entry[3][:n_reps]
+    # drop the old matrix before drawing, so two are never alive at once
+    _last_draw = entry = None
+    out = np.empty((n_reps, n))
+    for i in range(n_reps):
+        out[i] = models.sample(dist, repetition_seed(seed, i), n)
+    out.flags.writeable = False
+    _last_draw = (dist, seed, n, out)
     return out
 
 
@@ -166,9 +197,13 @@ def normality_experiment(dist, estimator_spec, x, n, M, master_seed, workers=1):
 
     Returns the M values together with the reference normal law
     (mean F(x), variance F(x)(1 - F(x))/n) and the Kolmogorov-Smirnov
-    distance between the two.  The fits run one after another on the
-    calling thread; ``workers`` is accepted and has no effect.
+    distance between the two.  The samples come from ``samples_matrix``,
+    so specs run at the same (dist, master_seed, n) share one draw.  The
+    fits run one after another on the calling thread; ``workers`` is
+    accepted and has no effect.
     """
+    if n < 1 or M < 1:
+        raise ValueError("n and M must be >= 1")
     x = float(x)
     fx = float(dist.cdf(x))
     if not 0.0 < fx < 1.0:

@@ -1,6 +1,12 @@
 import pytest
 
-from smoothcdf import make_beta, make_exponential, make_weibull_mixture
+from smoothcdf import make_beta, make_exponential, make_weibull_mixture, simulation
+
+
+@pytest.fixture(autouse=True)
+def _cold_samples_matrix():
+    """Start every test without a kept samples_matrix draw."""
+    simulation._last_draw = None
 
 
 @pytest.fixture(scope="session")

@@ -128,6 +128,17 @@ def test_normality_command(tmp_path):
     assert 0.0 <= summary["ks_distance"] <= 1.0
 
 
+def test_normality_rejects_empty_sizes(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    for n, reps in ((100, 0), (100, -1), (0, 200)):
+        config = {"dist": {"kind": "beta", "alpha": 3, "beta": 3},
+                  "estimator": {"kind": "edf"}, "x": 0.4, "n": n, "M": reps}
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["normality", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "smoothcdf: n and M must be >= 1\n"
+    assert not (tmp_path / "normality_values.csv").exists()
+
+
 def test_asymptotics_command(tmp_path):
     assert main(["asymptotics", "--dist", '{"kind":"exponential","rate":2}',
                  "--x", "1", "--n", "100", "--a", "1",

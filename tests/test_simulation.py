@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,10 +14,13 @@ from smoothcdf import (
     ise,
     kernel_fit,
     ks_distance_normal,
+    make_beta,
     mise_monte_carlo,
+    models,
     normality_experiment,
     parameter_sweep,
     pointwise_coeffs,
+    simulation,
     szasz_fit,
 )
 from smoothcdf.simulation import _ise_matrix, repetition_seed, samples_matrix
@@ -216,6 +221,128 @@ def test_repetition_seed_stability():
     assert repetition_seed(2, 0) != repetition_seed(1, 0)
 
 
+def _count_draws(monkeypatch):
+    calls = []
+    draw = models.sample
+
+    def counted(dist, seed, n):
+        calls.append(seed)
+        return draw(dist, seed, n)
+
+    monkeypatch.setattr(models, "sample", counted)
+    return calls
+
+
+def test_samples_matrix_shares_one_read_only_draw(beta33, monkeypatch):
+    calls = _count_draws(monkeypatch)
+    full = samples_matrix(beta33, 3, 6, 20)
+    assert len(calls) == 6
+    # a smaller request at the same inputs is a prefix of the kept draw,
+    # equal bit for bit to the rows drawn one by one
+    prefix = samples_matrix(beta33, 3, 4, 20)
+    assert len(calls) == 6 and np.shares_memory(prefix, full)
+    rows = np.array([models.sample(beta33, repetition_seed(3, i), 20) for i in range(4)])
+    assert prefix.tobytes() == rows.tobytes()
+    del calls[:]
+    # the seed is keyed as repetition_seed reads it, modulo 2**64
+    assert samples_matrix(beta33, 3 + 2**64, 2, 20).tobytes() == full[:2].tobytes()
+    assert not calls
+    with pytest.raises(ValueError, match="read-only"):
+        prefix[0, 0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        full[-1] = 0.5
+    # each call differs from the one before in one input: another seed,
+    # another n, more rows, an equal model that is another object
+    twin = make_beta(3.0, 3.0)
+    for dist, seed, reps, n in ((beta33, 4, 6, 20), (beta33, 4, 6, 21), (beta33, 4, 7, 21),
+                                (twin, 4, 7, 21)):
+        del calls[:]
+        fresh = samples_matrix(dist, seed, reps, n)
+        assert len(calls) == reps and not fresh.flags.writeable
+    assert samples_matrix(twin, 3, 6, 20).tobytes() == full.tobytes()
+
+
+def test_samples_matrix_rejects_nonpositive_counts(beta33):
+    samples_matrix(beta33, 3, 5, 20)
+    for reps in (0, -1):  # -1 would otherwise slice the kept draw to four rows
+        with pytest.raises(ValueError, match="n_reps must be >= 1"):
+            samples_matrix(beta33, 3, reps, 20)
+
+
+def test_estimators_on_one_seed_draw_once(exp2, beta33, monkeypatch):
+    calls = _count_draws(monkeypatch)
+    # the benchmark's four normality specs at one seed
+    for spec in ({"kind": "edf"}, {"kind": "szasz", "m": 252}, {"kind": "kernel", "h": 0.05},
+                 {"kind": "hermite_half", "N": 20}):
+        normality_experiment(beta33, spec, 0.4, 500, 50, master_seed=9)
+    assert len(calls) == 50
+    # criterion 3's trio: the EDF anchor and the Szasz and kernel sweeps
+    del calls[:]
+    mise_monte_carlo(ExperimentConfig(exp2, "edf", (0,), n=50, M=40, master_seed=5), 0)
+    parameter_sweep(ExperimentConfig(exp2, "szasz", (2, 10, 30), n=50, M=40, master_seed=5))
+    parameter_sweep(ExperimentConfig(exp2, "kernel", (0.05, 0.2), n=50, M=40, master_seed=5),
+                    workers=2)
+    assert len(calls) == 40
+
+
+def test_samples_matrix_keeps_one_matrix_alive(beta33):
+    # a new draw releases the kept one first, so two draws of different
+    # inputs back to back peak at one matrix, not two
+    reps, n = 400, 500
+    size = reps * n * 8
+    tracemalloc.start()
+    try:
+        samples_matrix(beta33, 1, reps, n)
+        tracemalloc.reset_peak()
+        samples_matrix(beta33, 2, reps, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * size, peak / size
+
+
+def test_shared_draws_are_identical_under_concurrent_clients(exp2):
+    # clients on one model and n at different seeds race for the kept draw;
+    # a race may redraw but must never hand a client another seed's rows
+    def normality(seed):
+        return normality_experiment(exp2, {"kind": "szasz", "m": 20}, 0.4, 30, 25, seed).values
+
+    def sweep(seed):
+        res = parameter_sweep(ExperimentConfig(exp2, "kernel", (0.05, 0.2), n=30, M=25,
+                                               master_seed=seed))
+        return np.concatenate([res.mise, res.se])
+
+    def rows(seed):  # many small requests, to crowd the lookup itself
+        return samples_matrix(exp2, seed, 1 + seed % 3, 30)
+
+    clients = [(normality, 1, 6), (sweep, 2, 6), (normality, 3, 6), (sweep, 4, 6),
+               (rows, 5, 300), (rows, 6, 300)]
+    serial = []
+    for fn, seed, _ in clients:
+        simulation._last_draw = None  # each reference from its own draw
+        serial.append(fn(seed).tobytes())
+    results = {i: [] for i in range(len(clients))}
+
+    def client(i):
+        fn, seed, rounds = clients[i]
+        for _ in range(rounds):
+            results[i].append(fn(seed).tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(len(clients))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, want in enumerate(serial):
+        assert results[i] == [want] * clients[i][2], clients[i]
+
+
 def test_config_validation(exp2):
     with pytest.raises(ValueError):
         ExperimentConfig(exp2, "nope", (1,), n=10, M=5)
@@ -238,6 +365,12 @@ def test_normality_experiment_edf(beta33):
     assert res.ks_distance < 0.03
     with pytest.raises(ValueError):
         normality_experiment(beta33, {"kind": "edf"}, 1.5, 500, 100, master_seed=0)
+
+
+def test_normality_experiment_rejects_empty_sizes(beta33):
+    for n, reps in ((500, 0), (500, -1), (0, 100)):
+        with pytest.raises(ValueError, match="n and M must be >= 1"):
+            normality_experiment(beta33, {"kind": "edf"}, 0.4, n, reps, master_seed=0)
 
 
 def test_normality_smooth_estimator_centering(beta33):

@@ -93,13 +93,10 @@ def _bisect_increasing(f, p, lo, hi, tol=1e-10):
 
 
 def _in_chunks(fn, items, width):
-    # fn over consecutive blocks of items along the first axis, each block at
-    # most _ELEMENT_BUDGET // width long; fn returns one value per item
-    out = np.empty(len(items))
+    # fn over blocks of at most _ELEMENT_BUDGET // width items along the first
+    # axis, results joined; empty items make one call, keeping fn's shape
     step = max(1, _ELEMENT_BUDGET // width)
-    for i in range(0, len(items), step):
-        out[i:i + step] = fn(items[i:i + step])
-    return out
+    return np.concatenate([fn(items[i:i + step]) for i in range(0, len(items) or 1, step)])
 
 
 def _row_bincount(idx, width_max):
@@ -367,10 +364,7 @@ def bernstein_fit(values, m):
 
 def kernel_fit(values, h):
     """Fit the Gaussian-kernel CDF estimator with bandwidth h > 0."""
-    h = float(h)
-    if h <= 0.0:
-        raise ValueError("bandwidth must be positive")
-    return KernelCDF(_as_sample(values, lower=None), h)
+    return KernelCDF(_as_sample(values, lower=None), _check_bandwidth(h))
 
 
 def hermite_half_fit(values, order_max, clip=False):
@@ -390,9 +384,7 @@ def hermite_half_standardized_fit(values, order_max, mu, sigma, clip=False):
     sigma = float(sigma)
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    order_max = int(order_max)
-    if order_max < 0:
-        raise ValueError("order_max must be >= 0")
+    order_max = _check_order_max(order_max)
     x = _as_sample(values)
     coef = _hermite_coefficients(x[None, :], sigma, order_max)[0]
     return HermiteHalfEstimator(x, order_max, coef, scale=sigma, clip=clip)
@@ -431,7 +423,18 @@ def fit_from_spec(spec, values, dist=None):
 
 
 def _check_order(m):
-    m = int(m)
-    if m < 1:
+    if int(m) < 1:
         raise ValueError("order m must be a positive integer")
-    return m
+    return int(m)
+
+
+def _check_bandwidth(h):
+    if not float(h) > 0.0:  # NaN too
+        raise ValueError("bandwidth must be positive")
+    return float(h)
+
+
+def _check_order_max(order_max):
+    if int(order_max) < 0:
+        raise ValueError("order_max must be >= 0")
+    return int(order_max)

@@ -16,14 +16,14 @@ the model object, the normalised seed and n, and answers any smaller
 repetition count with a prefix of it.  The matrix is read-only, so no
 caller can change the samples another caller sees.
 
-The kernel, Bernstein and Hermite formulas are the row-axis functions in
-``estimators``; a sweep hands them chunks of repetitions and keeps only
-what it amortises over the grid: one Bernstein survival table per order,
-and one Hermite coefficient matrix summed order by order.  The Szasz
-sweep is this module's own Poisson series form, banded by
-theory.truncation_floor and theory.truncation_index, and is tested
-against the incomplete-gamma form of the fitted object.  The normality
-experiment fits and evaluates each repetition through ``fit_from_spec``.
+Every family but the EDF is one column per grid value: ``_ise_matrix``
+builds once what the columns share (Hermite's coefficients and basis
+integrals), fans the columns out over ``workers`` threads, and each column
+takes its repetitions in bounded chunks.  Kernel, Bernstein and Hermite
+columns apply the row-axis formulas of ``estimators``; the Szasz column is
+this module's Poisson series form, banded by theory.truncation_floor and
+theory.truncation_index and tested against the fitted incomplete-gamma
+form.  The normality experiment fits each repetition by ``fit_from_spec``.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ from scipy import special as sp
 
 from . import models
 from .estimators import (
-    _ELEMENT_BUDGET, KINDS, EmpiricalCDF, _bernstein_rows, _bernstein_survival,
-    _hermite_coefficients, _in_chunks, _kernel_rows, _row_bincount, _szasz_orders,
-    fit_from_spec,
+    KINDS, EmpiricalCDF, _bernstein_rows, _bernstein_survival, _check_bandwidth,
+    _check_order, _check_order_max, _hermite_coefficients, _in_chunks, _kernel_rows,
+    _row_bincount, _szasz_orders, fit_from_spec,
 )
 from .special import hermite_basis
 from .theory import truncation_floor, truncation_index
@@ -87,6 +87,10 @@ class ExperimentConfig:
         if self.estimator_family in ("szasz", "bernstein", "hermite_half") \
                 and not all(p.is_integer() for p in grid):
             raise ValueError(f"{self.estimator_family} grid values must be integers")
+        check = {"szasz": _check_order, "bernstein": _check_order, "kernel": _check_bandwidth,
+                 "hermite_half": _check_order_max}.get(self.estimator_family, float)
+        for p in grid:  # the fit's own check of its parameter; edf takes none
+            check(p)
         object.__setattr__(self, "param_grid", grid)
         if self.n < 1 or self.M < 1:
             raise ValueError("n and M must be >= 1")
@@ -240,14 +244,18 @@ def _ise_matrix(config, workers=1):
         col = _edf_ise_from_u(u_mat)
         return np.repeat(col[:, None], len(config.param_grid), axis=1)
 
-    x_nodes = np.asarray(dist.quantile(u), dtype=float)
+    rows, nodes = samples, np.asarray(dist.quantile(u), dtype=float)
     if family == "hermite_half":
         scale = float(dist.sd) if config.standardize else 1.0
-        return _ise_hermite(samples, config.param_grid, u, w, x_nodes, scale)
+        n_max = int(config.param_grid[-1])
+        rows = _in_chunks(lambda chunk: _hermite_coefficients(chunk, scale, n_max),
+                          samples, config.n * (n_max + 1))
+        _, nodes = hermite_basis(nodes / scale, n_max)
     if family == "bernstein" and (samples.max() > 1.0 or samples.min() < 0.0):
         raise ValueError("bernstein sweeps need observations in [0, 1]")
-    column = {"szasz": _ise_szasz, "bernstein": _ise_bernstein, "kernel": _ise_kernel}[family]
-    return np.stack(_thread_map(lambda param: column(samples, param, u, w, x_nodes),
+    column = {"szasz": _ise_szasz, "bernstein": _ise_bernstein, "kernel": _ise_kernel,
+              "hermite_half": _ise_hermite}[family]
+    return np.stack(_thread_map(lambda param: column(rows, param, u, w, nodes),
                                 config.param_grid, workers), axis=1)
 
 
@@ -308,23 +316,11 @@ def _ise_kernel(samples, param, u, w, x_nodes):
                           samples, samples.shape[1] * x_nodes.size, u, w)
 
 
-def _ise_hermite(samples, grid, u, w, x_nodes, scale):
-    # one coefficient matrix serves every truncation order in the grid
-    n_reps, n = samples.shape
-    n_max = int(grid[-1])
-    chunk = max(1, _ELEMENT_BUDGET // (n * (n_max + 1)))
-    coefs = np.concatenate([_hermite_coefficients(samples[i:i + chunk], scale, n_max)
-                            for i in range(0, n_reps, chunk)])
-    _, integrals = hermite_basis(x_nodes / scale, n_max)
-
-    wanted = {int(g): j for j, g in enumerate(grid)}
-    out = np.empty((n_reps, len(grid)))
-    acc = np.zeros((n_reps, x_nodes.size))
-    for order in range(n_max + 1):
-        acc += coefs[:, order:order + 1] * integrals[order][None, :]
-        if order in wanted:
-            out[:, wanted[order]] = ((acc - u[None, :]) ** 2 * w[None, :]).sum(axis=1)
-    return out
+def _ise_hermite(coefs, param, u, w, integrals):
+    # the fit's coef @ integrals on the first N + 1 coefficients of each row
+    terms = int(param) + 1
+    return _ise_in_chunks(lambda rows: rows[:, :terms] @ integrals[:terms],
+                          coefs, terms + u.size, u, w)
 
 
 def _mean_and_se(ise_mat):

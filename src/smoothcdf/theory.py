@@ -231,7 +231,7 @@ def szasz_exact_moments(dist, m, n, x):
     s_m = float(np.sum(fk * v))
     second = float(np.sum(fk * v * (2.0 * q - v)))
     variance = (second - s_m**2) / n
-    bias = s_m - float(dist.cdf(x))
+    bias = float(np.sum((fk - float(dist.cdf(x))) * v))  # s_m - F(x) cancels near F = 1
     return ExactMoments(m, n, x, s_m, bias, max(variance, 0.0), tail)
 
 

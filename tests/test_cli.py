@@ -108,6 +108,19 @@ def test_sweep_config_errors(tmp_path):
     assert main(["sweep", "--config", str(unknown), "--out-dir", str(tmp_path)]) == 2
 
 
+def test_sweep_rejects_grid_outside_the_family_domain(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "dist": {"kind": "exponential", "rate": 2},
+        "estimator_family": "hermite_half",
+        "param_grid": [-1, 3], "n": 20, "M": 5,
+    }), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert "order_max must be >= 0" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_normality_command(tmp_path):
     config = {
         "dist": {"kind": "beta", "alpha": 3, "beta": 3},

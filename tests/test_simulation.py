@@ -187,6 +187,25 @@ def test_bernstein_sweep_memory_is_bounded_at_large_order(beta33):
         assert mat[i, 0] == pytest.approx(ise(bernstein_fit(rows[i], 5000), beta33), abs=1e-10)
 
 
+def test_hermite_sweep_memory_is_bounded_at_many_repetitions(exp2):
+    # a running sum over orders for all 40000 repetitions at once peaked at
+    # 502 MB; the orders are now one product per chunk of repetitions
+    cfg = ExperimentConfig(exp2, "hermite_half", (2, 30), n=10, M=40000, master_seed=5)
+    tracemalloc.start()
+    try:
+        mat = _ise_matrix(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200e6, peak
+    small = _ise_matrix(ExperimentConfig(exp2, "hermite_half", (2, 30), n=10, M=3, master_seed=5))
+    rows = samples_matrix(exp2, 5, 3, 10)
+    for i in range(3):
+        for j, order in enumerate((2, 30)):
+            assert mat[i, j] == pytest.approx(small[i, j], abs=1e-10)
+            assert mat[i, j] == pytest.approx(ise(hermite_half_fit(rows[i], order), exp2), abs=1e-10)
+
+
 def test_sweep_argmin_and_degenerate_grid(exp2):
     cfg = ExperimentConfig(exp2, "szasz", (2, 5, 11, 30), n=25, M=40, master_seed=2)
     res = parameter_sweep(cfg)
@@ -352,6 +371,23 @@ def test_config_validation(exp2):
         ExperimentConfig(exp2, "szasz", (3, 2), n=10, M=5)
     with pytest.raises(ValueError):
         ExperimentConfig(exp2, "szasz", (2, 3), n=0, M=5)
+
+
+@pytest.mark.parametrize("family, grid, message", [
+    ("szasz", (0, 3), "order m must be a positive integer"),
+    ("bernstein", (0, 3), "order m must be a positive integer"),
+    ("kernel", (-0.05, 0.1), "bandwidth must be positive"),
+    ("kernel", (0.05, float("nan")), "bandwidth must be positive"),
+    ("hermite_half", (-1, 3), "order_max must be >= 0"),
+])
+def test_config_rejects_grids_outside_the_family_domain(exp2, family, grid, message):
+    # these used to run and return garbage: Szasz m=0 gave NaN (argmin 0),
+    # Hermite N=-1 a denormal read from uninitialised memory (argmin -1),
+    # kernel h<0 and Bernstein m=0 gave values
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(exp2, family, grid, n=20, M=5)
+    # the boundary values the fits accept stay valid
+    ExperimentConfig(exp2, family, (1, 3) if family != "hermite_half" else (0, 3), n=20, M=5)
 
 
 def test_normality_experiment_edf(beta33):

@@ -87,8 +87,10 @@ def test_band_sums_match_the_full_range(exp2):
         second = float(np.sum(fk * v * (2.0 * q - v)))
         em = szasz_exact_moments(exp2, m, 3, x)
         assert close(em.s_m, s_m)
-        # bias and variance subtract sums of order one: compare at their scale
-        assert close(em.bias, s_m - float(exp2.cdf(x)), scale=s_m)
+        # the bias is summed term by term, sum_k (F(k/m) - F(x)) V_k, so it
+        # keeps its own relative accuracy; the variance subtracts sums of
+        # order one: compare it at their scale
+        assert close(em.bias, float(np.sum((fk - float(exp2.cdf(x))) * v)))
         assert close(em.variance, max((second - s_m**2) / 3, 0.0), scale=second / 3)
 
 
@@ -198,6 +200,26 @@ def test_exact_moments_match_monte_carlo(exp2):
     se = vals.std(ddof=1) / math.sqrt(reps)
     assert abs(vals.mean() - em.s_m) <= 4.0 * se
     assert vals.var(ddof=1) == pytest.approx(em.variance, rel=0.2)
+
+
+def test_exact_bias_matches_mpmath(exp2):
+    # the bias sum_k (F(k/m) - F(x)) V_k against a 50-digit sum over all k;
+    # written as S_m - F(x) it cancelled to 5.9e-5 relative at m=1000, x=8
+    mpmath = pytest.importorskip("mpmath")
+
+    def reference(m, x):
+        with mpmath.workdps(50):
+            z = mpmath.mpf(m) * x
+            survival = mpmath.exp(-2 * mpmath.mpf(x))  # 1 - F(x) on Exp(2)
+            v, total = mpmath.exp(-z), mpmath.mpf(0)
+            for k in range(int(float(z) + 40.0 * math.sqrt(float(z)) + 100.0)):
+                total += (survival - mpmath.exp(-2 * mpmath.mpf(k) / m)) * v
+                v = v * z / (k + 1)
+            return float(total)
+
+    for m, x in ((20, 0.3), (100, 1.0), (1000, 3.0), (1000, 8.0)):
+        bias = szasz_exact_moments(exp2, m, 50, x).bias
+        assert abs(bias / reference(m, x) - 1.0) <= 1e-7, (m, x)
 
 
 def test_exact_deficiency_local(exp2):

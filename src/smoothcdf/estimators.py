@@ -6,8 +6,11 @@ Each family's formula is written once, here.  The kernel, Bernstein and
 Hermite formulas are functions over a leading row axis of samples
 (``_kernel_rows``, ``_bernstein_rows`` over ``_bernstein_survival``,
 ``_hermite_coefficients``): a fitted object is the one-row case, and the
-sweeps in ``simulation`` pass chunks of repetitions.  The smooth
-half-line estimator is evaluated through its finite incomplete-gamma
+sweeps in ``simulation`` pass chunks of repetitions.  ``evaluate_rows``
+reads every row's estimate at one point through these formulas and
+``_szasz_rows`` without building a fitted object per row; it and
+``fit_from_spec`` share one spec parser and the parameter checks.  The
+smooth half-line estimator is evaluated through its finite incomplete-gamma
 representation: with c_i = max(1, ceil(m X_i)),
 
     Fhat(x) = (1/n) sum_i P(c_i, m x),
@@ -19,9 +22,14 @@ Bernstein fits keep the distinct orders of their sample and their counts.
 The Szasz fit computes one incomplete gamma (and one Poisson weight for
 ``density``) per distinct order and expands the rows back by the counts
 before the same mean over observations (``SzaszEstimator._per_observation``),
-so its values equal the per-observation form bit for bit.  The Bernstein
-fit builds its survival table only for the occupied orders, at most
+so its values equal the per-observation form bit for bit; ``_szasz_rows``
+does the same per distinct order of a chunk of rows.  The Bernstein fit
+builds its survival table only for the occupied orders, at most
 min(n, m + 1) rows; the Bernstein sweep keeps the full table.
+
+Work over many rows or points goes in chunks (``_in_chunks``) whose
+arrays held at once, temporaries included, have at most
+``_ELEMENT_BUDGET`` elements.
 """
 
 from __future__ import annotations
@@ -48,11 +56,12 @@ __all__ = [
     "hermite_half_fit",
     "hermite_half_standardized_fit",
     "fit_from_spec",
+    "evaluate_rows",
     "KINDS",
 ]
 
 _X_MAX = 1e6  # quantile bracketing gives up past this point
-_ELEMENT_BUDGET = 4_000_000  # array elements one chunk of rows or points may allocate
+_ELEMENT_BUDGET = 250_000  # array elements one chunk of rows or points may allocate
 
 
 class QuantileBracketError(RuntimeError):
@@ -60,16 +69,30 @@ class QuantileBracketError(RuntimeError):
 
 
 def _as_sample(values, lower=0.0, upper=None, what="sample"):
-    x = np.sort(np.asarray(values, dtype=float).ravel())
+    return _check_sample(np.sort(np.asarray(values, dtype=float).ravel()), lower, upper, what)
+
+
+def _check_sample(x, lower, upper, what="sample"):
+    # x holds one sample or a matrix of sample rows; None or an infinite
+    # bound leaves that side open
     if x.size == 0:
         raise ValueError(f"{what} must not be empty")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{what} must be finite")
-    if lower is not None and x[0] < lower:
+    if lower is not None and x.min() < lower:
         raise ValueError(f"{what} values must be >= {lower}")
-    if upper is not None and x[-1] > upper:
+    if upper is not None and x.max() > upper:
         raise ValueError(f"{what} values must be <= {upper}")
     return x
+
+
+def _check_points(x, lower, upper):
+    # evaluation points inside an estimator's domain [lower, upper]
+    if upper < math.inf:
+        if (x < lower).any() or (x > upper).any():
+            raise ValueError(f"evaluation points must lie in [{lower:g}, {upper:g}]")
+    elif lower > -math.inf and (x < lower).any():
+        raise ValueError(f"evaluation points must be >= {lower:g}")
 
 
 def _check_level(p):
@@ -94,7 +117,9 @@ def _bisect_increasing(f, p, lo, hi, tol=1e-10):
 
 def _in_chunks(fn, items, width):
     # fn over blocks of at most _ELEMENT_BUDGET // width items along the first
-    # axis, results joined; empty items make one call, keeping fn's shape
+    # axis, results joined; width is the most array elements, temporaries
+    # included, that fn holds at once per item.  Empty items make one call,
+    # keeping fn's shape
     step = max(1, _ELEMENT_BUDGET // width)
     return np.concatenate([fn(items[i:i + step]) for i in range(0, len(items) or 1, step)])
 
@@ -117,9 +142,22 @@ def _szasz_orders(samples, m):
     return np.maximum(1, np.ceil(m * samples)).astype(np.int64)
 
 
+def _szasz_rows(samples, m, x):
+    # Fhat(x) per sample row in the fit's incomplete-gamma form: one P(c, m x)
+    # per distinct order c of the rows, gathered back per observation and
+    # averaged over observations as SzaszEstimator._per_observation does;
+    # holds about 6 elements per observation and point at once
+    orders = _szasz_orders(samples, m)
+    distinct, index = np.unique(orders, return_inverse=True)
+    table = sp.gammainc(distinct.astype(float)[:, None], m * x[None, :])
+    return table[index.reshape(orders.shape)].mean(axis=1)
+
+
 def _kernel_rows(samples, h, x):
-    # Fhat(x) per sample row: mean_i ndtr((x - X_i) / h)
-    return sp.ndtr((x[None, None, :] - samples[:, :, None]) / h).mean(axis=1)
+    # Fhat(x) per sample row: mean_i ndtr((x - X_i) / h), the ndtr taken in
+    # place, so one element per observation and point
+    t = (x[None, None, :] - samples[:, :, None]) / h
+    return sp.ndtr(t, out=t).mean(axis=1)
 
 
 def _bernstein_orders(samples, m):
@@ -139,14 +177,20 @@ def _bernstein_survival(m, x, orders=None):
 
 def _bernstein_rows(samples, m, survival):
     # Fhat per sample row: sum_k F_n(k/m) b_{k,m}(x) = (1/n) sum_c #{c_i = c} S[c]
-    # with c_i = ceil(m X_i) and S = _bernstein_survival(m, x)
+    # with c_i = ceil(m X_i) and S = _bernstein_survival(m, x); holds at most
+    # 2 (n + m + 1) elements per row at once, and the result
     return _row_bincount(_bernstein_orders(samples, m), m) @ survival / samples.shape[1]
 
 
 def _hermite_coefficients(samples, scale, order_max):
-    # a_hat_k = mean_i h_k(X_i / scale) for k = 0..order_max, one row per sample row
-    vals, _ = hermite_basis((samples / scale).ravel(), order_max)
-    return vals.reshape(order_max + 1, *samples.shape).mean(axis=2).T
+    # a_hat_k = mean_i h_k(X_i / scale) for k = 0..order_max, one row per
+    # sample row.  hermite_basis holds the values and integrals of every
+    # order and five temporaries per point, so the rows go in chunks
+    def block(rows):
+        vals, _ = hermite_basis((rows / scale).ravel(), order_max)
+        return vals.reshape(order_max + 1, *rows.shape).mean(axis=2).T
+
+    return _in_chunks(block, samples, samples.shape[1] * (2 * order_max + 7))
 
 
 class _Fitted:
@@ -170,12 +214,7 @@ class _Fitted:
     def _pointwise(self, formula, x):
         # formula maps a flat float array to the values at its points
         x = np.asarray(x, dtype=float)
-        if self._upper < math.inf:
-            if (x < self._lower).any() or (x > self._upper).any():
-                raise ValueError(
-                    f"evaluation points must lie in [{self._lower:g}, {self._upper:g}]")
-        elif self._lower > -math.inf and (x < self._lower).any():
-            raise ValueError(f"evaluation points must be >= {self._lower:g}")
+        _check_points(x, self._lower, self._upper)
         out = formula(np.atleast_1d(x).ravel())
         return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
@@ -243,7 +282,7 @@ class SzaszEstimator(_Fitted):
         shapes = self.orders.astype(float)[:, None]
         return _in_chunks(
             lambda t: self._per_observation(sp.gammainc(shapes, self.m * t[None, :])),
-            flat, self.n)
+            flat, self.n + self.orders.size)
 
     def density(self, x):
         """Derivative of the fitted CDF, a Poisson-weight mixture density."""
@@ -272,7 +311,7 @@ class BernsteinEstimator(_Fitted):
         # _bernstein_rows on the occupied rows of the survival table only
         return _in_chunks(
             lambda t: self.counts @ _bernstein_survival(self.m, t, self.orders) / self.n,
-            flat, self.orders.size)
+            flat, 2 * self.orders.size)
 
     def quantile(self, p):
         return self._search(p, 0.0, 1.0)
@@ -381,9 +420,7 @@ def hermite_half_standardized_fit(values, order_max, mu, sigma, clip=False):
     so rescaling data and query point together leaves the output unchanged.
     """
     del mu
-    sigma = float(sigma)
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    sigma = _check_scale(sigma)
     order_max = _check_order_max(order_max)
     x = _as_sample(values)
     coef = _hermite_coefficients(x[None, :], sigma, order_max)[0]
@@ -391,6 +428,30 @@ def hermite_half_standardized_fit(values, order_max, mu, sigma, clip=False):
 
 
 KINDS = ("edf", "szasz", "bernstein", "kernel", "hermite_half")  # the spec kinds
+_FITTED = {cls.kind: cls for cls in (EmpiricalCDF, SzaszEstimator, BernsteinEstimator,
+                                     KernelCDF, HermiteHalfEstimator)}
+
+
+def _parse_spec(spec, dist=None):
+    # an estimator spec's kind and its fit's checked arguments after the
+    # sample: (), (m,), (h,) or (N, mu, sigma, clip) for the standardized fit
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ValueError("estimator spec must be a dict with a 'kind' key")
+    kind = spec["kind"]
+    if kind == "edf":
+        return kind, ()
+    if kind in ("szasz", "bernstein"):
+        return kind, (_check_order(spec["m"]),)
+    if kind == "kernel":
+        return kind, (_check_bandwidth(spec["h"]),)
+    if kind == "hermite_half":
+        order_max, sigma = _check_order_max(spec["N"]), 1.0
+        if spec.get("standardize", False):
+            sigma = spec.get("sigma", dist.sd if dist is not None else None)
+            if sigma is None:
+                raise ValueError("standardized hermite fit needs sigma (or a model)")
+        return kind, (order_max, None, _check_scale(sigma), spec.get("clip", False))
+    raise ValueError(f"unknown estimator kind: {kind!r}")
 
 
 def fit_from_spec(spec, values, dist=None):
@@ -400,41 +461,77 @@ def fit_from_spec(spec, values, dist=None):
     {"kind": "hermite_half", "N": 20, "standardize": true}.  Standardized
     Hermite fits take sigma from the spec or from ``dist``.
     """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("estimator spec must be a dict with a 'kind' key")
-    kind = spec["kind"]
-    if kind == "edf":
-        return edf_fit(values)
-    if kind == "szasz":
-        return szasz_fit(values, spec["m"])
-    if kind == "bernstein":
-        return bernstein_fit(values, spec["m"])
-    if kind == "kernel":
-        return kernel_fit(values, spec["h"])
+    kind, args = _parse_spec(spec, dist)
+    fit = {"edf": edf_fit, "szasz": szasz_fit, "bernstein": bernstein_fit,
+           "kernel": kernel_fit, "hermite_half": hermite_half_standardized_fit}[kind]
+    return fit(values, *args)
+
+
+def evaluate_rows(spec, samples, x, dist=None):
+    """The estimate at the point x of the fit of each row of ``samples``.
+
+    Equals ``fit_from_spec(spec, row, dist).evaluate(x)`` for every row, and
+    builds no fitted object: the rows go in chunks through the family's
+    row-axis formula.  The formulas are symmetric in the observations; rows
+    sorted as ``simulation.samples_matrix`` draws them give the fits'
+    values bit for bit for edf, szasz, kernel and hermite_half.  Bernstein
+    sums its counts over every order 0..m where the fit sums over the
+    occupied ones, which can round differently in the last bit.
+    """
+    kind, args = _parse_spec(spec, dist)
+    cls = _FITTED[kind]
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2:
+        raise ValueError("samples must be a matrix with one sample per row")
+    _check_sample(samples, cls._lower, cls._upper)
+    point = np.array([float(x)])
+    _check_points(point, cls._lower, cls._upper)
+    n = samples.shape[1]
     if kind == "hermite_half":
-        if spec.get("standardize", False):
-            sigma = spec.get("sigma", dist.sd if dist is not None else None)
-            if sigma is None:
-                raise ValueError("standardized hermite fit needs sigma (or a model)")
-            return hermite_half_standardized_fit(values, spec["N"], None, sigma,
-                                                 clip=spec.get("clip", False))
-        return hermite_half_fit(values, spec["N"], clip=spec.get("clip", False))
-    raise ValueError(f"unknown estimator kind: {kind!r}")
+        order_max, _, scale, clip = args
+        _, integrals = hermite_basis(point / scale, order_max)
+        # one dot product per contiguous coefficient row, as the fit's
+        # coef @ integrals takes it; a matrix product would round differently
+        coefs = np.ascontiguousarray(_hermite_coefficients(samples, scale, order_max))
+        out = np.vecdot(coefs, integrals[:, 0])
+        return np.clip(out, 0.0, 1.0) if clip else out
+    if kind == "edf":
+        rows, width = (lambda chunk: (chunk <= point).sum(axis=1) / n), n
+    elif kind == "szasz":
+        rows, width = (lambda chunk: _szasz_rows(chunk, args[0], point)[:, 0]), 6 * n
+    elif kind == "bernstein":
+        m = args[0]
+        survival = _bernstein_survival(m, point)
+        rows, width = (lambda chunk: _bernstein_rows(chunk, m, survival)[:, 0]), 2 * (n + m + 1)
+    else:
+        rows, width = (lambda chunk: _kernel_rows(chunk, args[0], point)[:, 0]), n + 1
+    return _in_chunks(rows, samples, width)
 
 
 def _check_order(m):
-    if int(m) < 1:
+    m = float(m)  # integral floats such as 2.0 are orders; 2.5, inf and NaN are not
+    if not (m.is_integer() and m >= 1.0):
         raise ValueError("order m must be a positive integer")
     return int(m)
 
 
 def _check_bandwidth(h):
-    if not float(h) > 0.0:  # NaN too
-        raise ValueError("bandwidth must be positive")
+    if not 0.0 < float(h) < math.inf:  # NaN too
+        raise ValueError("bandwidth must be positive and finite")
     return float(h)
 
 
 def _check_order_max(order_max):
-    if int(order_max) < 0:
+    order_max = float(order_max)
+    if not order_max.is_integer():
+        raise ValueError("order_max must be an integer")
+    if order_max < 0.0:
         raise ValueError("order_max must be >= 0")
     return int(order_max)
+
+
+def _check_scale(sigma):
+    sigma = float(sigma)
+    if sigma <= 0.0:
+        raise ValueError("sigma must be positive")
+    return sigma

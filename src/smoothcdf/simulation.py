@@ -22,8 +22,11 @@ integrals), fans the columns out over ``workers`` threads, and each column
 takes its repetitions in bounded chunks.  Kernel, Bernstein and Hermite
 columns apply the row-axis formulas of ``estimators``; the Szasz column is
 this module's Poisson series form, banded by theory.truncation_floor and
-theory.truncation_index and tested against the fitted incomplete-gamma
-form.  The normality experiment fits each repetition by ``fit_from_spec``.
+theory.truncation_index, its Poisson weights built once per column, and
+tested against the fitted incomplete-gamma form.  The normality experiment
+reads Fhat(x) of every repetition through ``estimators.evaluate_rows``, the
+same row-axis formulas over chunks of repetitions, with no fitted object
+per row.
 """
 
 from __future__ import annotations
@@ -40,8 +43,11 @@ from . import models
 from .estimators import (
     KINDS, EmpiricalCDF, _bernstein_rows, _bernstein_survival, _check_bandwidth,
     _check_order, _check_order_max, _hermite_coefficients, _in_chunks, _kernel_rows,
-    _row_bincount, _szasz_orders, fit_from_spec,
+    _row_bincount, _szasz_orders, evaluate_rows,
 )
+# not called here: benchmarks/tracing.py times per-row fits by wrapping
+# simulation.fit_from_spec, so the name stays importable from this module
+from .estimators import fit_from_spec  # noqa: F401
 from .special import hermite_basis
 from .theory import truncation_floor, truncation_index
 
@@ -84,9 +90,6 @@ class ExperimentConfig:
             raise ValueError("param_grid must not be empty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("param_grid must be strictly increasing")
-        if self.estimator_family in ("szasz", "bernstein", "hermite_half") \
-                and not all(p.is_integer() for p in grid):
-            raise ValueError(f"{self.estimator_family} grid values must be integers")
         check = {"szasz": _check_order, "bernstein": _check_order, "kernel": _check_bandwidth,
                  "hermite_half": _check_order_max}.get(self.estimator_family, float)
         for p in grid:  # the fit's own check of its parameter; edf takes none
@@ -197,14 +200,16 @@ def parameter_sweep(config, workers=1):
 
 
 def normality_experiment(dist, estimator_spec, x, n, M, master_seed, workers=1):
-    """Distribution of Fhat(x) over M independent fits.
+    """Distribution of Fhat(x) over M independent samples.
 
     Returns the M values together with the reference normal law
     (mean F(x), variance F(x)(1 - F(x))/n) and the Kolmogorov-Smirnov
     distance between the two.  The samples come from ``samples_matrix``,
-    so specs run at the same (dist, master_seed, n) share one draw.  The
-    fits run one after another on the calling thread; ``workers`` is
-    accepted and has no effect.
+    so specs run at the same (dist, master_seed, n) share one draw.  Each
+    value is ``fit_from_spec(estimator_spec, row, dist).evaluate(x)`` of
+    one sample row, computed by ``estimators.evaluate_rows`` over chunks
+    of rows on the calling thread; ``workers`` is accepted and has no
+    effect.
     """
     if n < 1 or M < 1:
         raise ValueError("n and M must be >= 1")
@@ -212,9 +217,7 @@ def normality_experiment(dist, estimator_spec, x, n, M, master_seed, workers=1):
     fx = float(dist.cdf(x))
     if not 0.0 < fx < 1.0:
         raise ValueError("normality experiment needs 0 < F(x) < 1")
-    samples = samples_matrix(dist, master_seed, M, n)
-    # one fit per row, by the same fitted objects the library hands out
-    values = np.array([fit_from_spec(estimator_spec, row, dist).evaluate(x) for row in samples])
+    values = evaluate_rows(estimator_spec, samples_matrix(dist, master_seed, M, n), x, dist)
     ref_sd = math.sqrt(fx * (1.0 - fx) / n)
     ks = ks_distance_normal(values, fx, ref_sd)
     return NormalityResult(x, int(n), int(M), values, fx, ref_sd, ks)
@@ -248,8 +251,7 @@ def _ise_matrix(config, workers=1):
     if family == "hermite_half":
         scale = float(dist.sd) if config.standardize else 1.0
         n_max = int(config.param_grid[-1])
-        rows = _in_chunks(lambda chunk: _hermite_coefficients(chunk, scale, n_max),
-                          samples, config.n * (n_max + 1))
+        rows = _hermite_coefficients(samples, scale, n_max)
         _, nodes = hermite_basis(nodes / scale, n_max)
     if family == "bernstein" and (samples.max() > 1.0 or samples.min() < 0.0):
         raise ValueError("bernstein sweeps need observations in [0, 1]")
@@ -286,41 +288,52 @@ def _ise_szasz(samples, param, u, w, x_nodes):
     tail = sp.gammainc(float(c_max + 1), z)
     k = np.arange(c_max + 1, dtype=float)[:, None]
     log_fact = sp.gammaln(k + 1.0)
+    node_blocks = [slice(j, j + _NODE_BLOCK) for j in range(0, z.size, _NODE_BLOCK)]
+    # each block's band and weights, kept for the later chunks when the rows
+    # span several; one chunk uses each block once and holds one at a time
+    kept = {}
+
+    def band_weights(cols):
+        lo = truncation_floor(z[cols][0])
+        band = slice(lo, max(lo, min(truncation_index(z[cols][-1]), c_max) + 1))
+        return band, np.exp(k[band] * log_z[cols] - z[cols] - log_fact[band])
 
     def fhat_rows(rows):
         cum = _row_bincount(_szasz_orders(rows, m), c_max)
         np.cumsum(cum, axis=1, out=cum)
-        fhat = np.zeros((rows.shape[0], z.size))
-        for j in range(0, z.size, _NODE_BLOCK):
-            cols = slice(j, j + _NODE_BLOCK)
-            lo = truncation_floor(z[cols][0])
-            hi = min(truncation_index(z[cols][-1]), c_max)
-            if lo <= hi:
-                band = slice(lo, hi + 1)
-                pmf = np.exp(k[band] * log_z[cols] - z[cols] - log_fact[band])
-                fhat[:, cols] = cum[:, band] @ pmf
+        fhat = np.empty((rows.shape[0], z.size))
+        for i, cols in enumerate(node_blocks):
+            band, pmf = kept.get(i) or band_weights(cols)
+            if rows.shape[0] < samples.shape[0]:
+                kept[i] = band, pmf
+            fhat[:, cols] = cum[:, band] @ pmf
         return fhat / n + tail
 
-    return _ise_in_chunks(fhat_rows, samples, n + c_max + z.size, u, w)
+    # held at once per row: the orders, cell indices and integer and float
+    # counts; then the cumulative counts, Fhat, its scaled copy and its error
+    width = max(2 * (n + c_max + 1), c_max + 1 + 3 * z.size)
+    return _ise_in_chunks(fhat_rows, samples, width, u, w)
 
 
 def _ise_bernstein(samples, param, u, w, x_nodes):
     m = int(param)
     survival = _bernstein_survival(m, x_nodes)
-    return _ise_in_chunks(lambda rows: _bernstein_rows(rows, m, survival),
-                          samples, samples.shape[1] + m + x_nodes.size, u, w)
+    # held at once per row: the orders, cell indices and integer and float
+    # counts; then the float counts, Fhat and its error
+    width = max(2 * (samples.shape[1] + m + 1), m + 1 + 2 * x_nodes.size)
+    return _ise_in_chunks(lambda rows: _bernstein_rows(rows, m, survival), samples, width, u, w)
 
 
 def _ise_kernel(samples, param, u, w, x_nodes):
     return _ise_in_chunks(lambda rows: _kernel_rows(rows, float(param), x_nodes),
-                          samples, samples.shape[1] * x_nodes.size, u, w)
+                          samples, (samples.shape[1] + 1) * x_nodes.size, u, w)
 
 
 def _ise_hermite(coefs, param, u, w, integrals):
     # the fit's coef @ integrals on the first N + 1 coefficients of each row
     terms = int(param) + 1
     return _ise_in_chunks(lambda rows: rows[:, :terms] @ integrals[:terms],
-                          coefs, terms + u.size, u, w)
+                          coefs, terms + 2 * u.size, u, w)
 
 
 def _mean_and_se(ise_mat):

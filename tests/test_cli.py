@@ -152,6 +152,16 @@ def test_normality_rejects_empty_sizes(tmp_path, capsys):
     assert not (tmp_path / "normality_values.csv").exists()
 
 
+def test_normality_rejects_a_non_integer_order(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    config = {"dist": {"kind": "beta", "alpha": 3, "beta": 3},
+              "estimator": {"kind": "szasz", "m": 2.5}, "x": 0.4, "n": 50, "M": 20}
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["normality", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "smoothcdf: order m must be a positive integer\n"
+    assert not (tmp_path / "normality_values.csv").exists()
+
+
 def test_asymptotics_command(tmp_path):
     assert main(["asymptotics", "--dist", '{"kind":"exponential","rate":2}',
                  "--x", "1", "--n", "100", "--a", "1",

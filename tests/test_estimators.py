@@ -399,3 +399,21 @@ def test_fit_from_spec(exp2):
         fit_from_spec({"kind": "hermite_half", "N": 4, "standardize": True}, s)
     with pytest.raises(ValueError):
         fit_from_spec({"kind": "nope"}, s)
+
+
+def test_fits_reject_non_integer_orders_and_infinite_bandwidths():
+    # these used to fit m = 2, N = 2 and a constant 0.5 without a word
+    x = [0.2, 0.7]
+    for fit, bad, message in ((szasz_fit, 2.5, "order m must be a positive integer"),
+                              (bernstein_fit, 2.5, "order m must be a positive integer"),
+                              (hermite_half_fit, 2.7, "order_max must be an integer"),
+                              (kernel_fit, math.inf, "bandwidth must be positive and finite")):
+        with pytest.raises(ValueError, match=message):
+            fit(x, bad)
+    # integral floats and numpy integers are orders
+    pts = np.linspace(0.0, 1.0, 9)
+    for fit in (szasz_fit, bernstein_fit, hermite_half_fit):
+        want = fit(x, 3).evaluate(pts)
+        for order in (3.0, np.int64(3), np.float64(3.0)):
+            assert np.array_equal(fit(x, order).evaluate(pts), want)
+    assert type(szasz_fit(x, 3.0).m) is int and type(hermite_half_fit(x, 3.0).order_max) is int

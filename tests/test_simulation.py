@@ -10,6 +10,8 @@ from smoothcdf import (
     ExperimentConfig,
     bernstein_fit,
     edf_fit,
+    estimators,
+    fit_from_spec,
     hermite_half_fit,
     ise,
     kernel_fit,
@@ -290,11 +292,24 @@ def test_samples_matrix_rejects_nonpositive_counts(beta33):
 
 def test_estimators_on_one_seed_draw_once(exp2, beta33, monkeypatch):
     calls = _count_draws(monkeypatch)
+    # a normality run fits no object per row: count every fit function and
+    # every fitted evaluate
+    fits = []
+    for name in ("edf_fit", "szasz_fit", "bernstein_fit", "kernel_fit", "hermite_half_fit",
+                 "hermite_half_standardized_fit"):
+        monkeypatch.setattr(estimators, name,
+                            lambda *a, _f=getattr(estimators, name), **k: fits.append(a) or _f(*a, **k))
+    evaluate = estimators._Fitted.evaluate
+    monkeypatch.setattr(estimators._Fitted, "evaluate",
+                        lambda self, x: fits.append(x) or evaluate(self, x))
     # the benchmark's four normality specs at one seed
     for spec in ({"kind": "edf"}, {"kind": "szasz", "m": 252}, {"kind": "kernel", "h": 0.05},
                  {"kind": "hermite_half", "N": 20}):
         normality_experiment(beta33, spec, 0.4, 500, 50, master_seed=9)
     assert len(calls) == 50
+    assert fits == []
+    fit_from_spec({"kind": "szasz", "m": 5}, [0.5]).evaluate(0.4)  # the counters count
+    assert len(fits) == 2
     # criterion 3's trio: the EDF anchor and the Szasz and kernel sweeps
     del calls[:]
     mise_monte_carlo(ExperimentConfig(exp2, "edf", (0,), n=50, M=40, master_seed=5), 0)
@@ -379,6 +394,9 @@ def test_config_validation(exp2):
     ("kernel", (-0.05, 0.1), "bandwidth must be positive"),
     ("kernel", (0.05, float("nan")), "bandwidth must be positive"),
     ("hermite_half", (-1, 3), "order_max must be >= 0"),
+    ("szasz", (2, 2.5), "order m must be a positive integer"),
+    ("hermite_half", (2, 2.5), "order_max must be an integer"),
+    ("kernel", (0.05, float("inf")), "bandwidth must be positive and finite"),
 ])
 def test_config_rejects_grids_outside_the_family_domain(exp2, family, grid, message):
     # these used to run and return garbage: Szasz m=0 gave NaN (argmin 0),
@@ -401,6 +419,91 @@ def test_normality_experiment_edf(beta33):
     assert res.ks_distance < 0.03
     with pytest.raises(ValueError):
         normality_experiment(beta33, {"kind": "edf"}, 1.5, 500, 100, master_seed=0)
+
+
+_NORMALITY_SPECS = [
+    {"kind": "edf"},
+    {"kind": "szasz", "m": 252},
+    {"kind": "kernel", "h": 0.05},
+    {"kind": "hermite_half", "N": 20},
+    {"kind": "hermite_half", "N": 12, "standardize": True, "clip": True},
+    {"kind": "bernstein", "m": 40},
+]
+
+
+def _per_row_fits(spec, dist, reps, seed):
+    rows = samples_matrix(dist, seed, reps, 500)
+    return np.array([fit_from_spec(spec, row, dist).evaluate(0.4) for row in rows])
+
+
+def _assert_matches_fits(spec, got, want):
+    # the row-axis formulas give each fit's value bit for bit, except that
+    # Bernstein sums its counts over every order 0..m, the fit over the
+    # occupied ones: a few ulps (2.8e-16 at most seen at m = 40 and 3000)
+    if spec["kind"] == "bernstein":
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+    else:
+        assert got.tobytes() == want.tobytes(), spec
+
+
+@pytest.mark.parametrize("spec", _NORMALITY_SPECS, ids=lambda s: s["kind"])
+def test_normality_values_equal_the_per_row_fits(beta33, spec):
+    want = _per_row_fits(spec, beta33, 200, 4)
+    got = normality_experiment(beta33, spec, 0.4, 500, 200, master_seed=4).values
+    _assert_matches_fits(spec, got, want)
+
+
+@pytest.mark.parametrize("spec", _NORMALITY_SPECS, ids=lambda s: s["kind"])
+def test_normality_chunks_equal_the_per_row_fits(beta33, spec, monkeypatch):
+    # seven rows in chunks of 3, 3 and 1: the budget is set from the width
+    # the evaluation asks for, which a spy on the chunker records
+    want = _per_row_fits(spec, beta33, 7, 6)
+    chunker = estimators._in_chunks
+    calls = []
+
+    def spy(fn, items, width):
+        sizes = []
+        calls.append((width, sizes))
+        return chunker(lambda block: sizes.append(len(block)) or fn(block), items, width)
+
+    monkeypatch.setattr(estimators, "_in_chunks", spy)
+    normality_experiment(beta33, spec, 0.4, 500, 7, master_seed=6)
+    (width, sizes), = calls
+    assert sizes == [7]
+    monkeypatch.setattr(estimators, "_ELEMENT_BUDGET", 3 * width)
+    got = normality_experiment(beta33, spec, 0.4, 500, 7, master_seed=6).values
+    assert calls[-1] == (width, [3, 3, 1])
+    _assert_matches_fits(spec, got, want)
+
+
+@pytest.mark.parametrize("dist, spec, error, message", [
+    ("exp2", {"kind": "bernstein", "m": 10}, ValueError, "sample values must be <= 1.0"),
+    ("beta33", {"kind": "szasz"}, KeyError, "'m'"),
+    ("beta33", {"kind": "nope"}, ValueError, "unknown estimator kind"),
+    ("beta33", {"kind": "szasz", "m": 0}, ValueError, "order m must be a positive integer"),
+    ("beta33", {"kind": "szasz", "m": 2.5}, ValueError, "order m must be a positive integer"),
+    ("beta33", {"kind": "kernel", "h": float("inf")}, ValueError, "bandwidth must be positive"),
+    ("exp2", {"kind": "szasz", "m": 2 ** 52}, ValueError, r"limit 2\*\*53"),
+])
+def test_normality_experiment_error_paths(request, dist, spec, error, message):
+    # the errors the per-row fits raised, from the one spec parser and checks
+    with pytest.raises(error, match=message):
+        normality_experiment(request.getfixturevalue(dist), spec, 0.4, 50, 20, master_seed=0)
+
+
+def test_normality_hermite_memory_is_bounded(beta33):
+    # the Hermite basis of a chunk of rows holds values and integrals of
+    # every order, 2 x 21 x 500 doubles a row.  Chunked by that width the
+    # run peaks at 6.1 MB, 4 MB of it the sample matrix.  Counted at
+    # n (N + 1) elements a row under a 4,000,000-element budget, a chunk
+    # took 380 rows and 64 MB of basis
+    tracemalloc.start()
+    try:
+        normality_experiment(beta33, {"kind": "hermite_half", "N": 20}, 0.4, 500, 1000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
 
 
 def test_normality_experiment_rejects_empty_sizes(beta33):

@@ -27,6 +27,16 @@ does the same per distinct order of a chunk of rows.  The Bernstein fit
 builds its survival table only for the occupied orders, at most
 min(n, m + 1) rows; the Bernstein sweep keeps the full table.
 
+Quantiles are inf{x: Fhat(x) >= p}.  The Szasz, Bernstein and kernel fits
+widen a bracket and bisect it one midpoint per ``evaluate``: their cost
+grows with the number of points, so wider batches would be slower.  The
+Hermite series need not be monotone.  Its search finds the first upcrossing
+on a 4097-point grid, which each fit evaluates once and keeps read-only for
+every level, and bisects that cell six levels per ``evaluate``, whose cost
+is nearly all per call.  A Hermite value at a point does not depend on the
+other points evaluated with it, so the answers are bit-identical to one
+midpoint per call.
+
 Work over many rows or points goes in chunks (``_in_chunks``) whose
 arrays held at once, temporaries included, have at most
 ``_ELEMENT_BUDGET`` elements.
@@ -36,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import special as sp
@@ -102,16 +113,32 @@ def _check_level(p):
     return p
 
 
-def _bisect_increasing(f, p, lo, hi, tol=1e-10):
-    # invariant: f(lo) < p <= f(hi); returns inf{x: f(x) >= p} within tol
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= p:
-            hi = mid
-        else:
-            lo = mid
+def _bisect_increasing(f, p, lo, hi, tol=1e-10, levels=1):
+    # invariant: f(lo) < p <= f(hi); returns inf{x: f(x) >= p} within tol,
+    # after at most 200 halvings.  Each call of f takes the 2**levels - 1
+    # midpoints of the next `levels` halvings at once, heap-ordered (node i
+    # splits into 2i + 1 and 2i + 2); the walk down that tree halves as one
+    # midpoint per call would, so for an f whose value at a point does not
+    # depend on the other points the answer does not depend on levels
+    steps = 0
+    while steps < 200 and hi - lo > tol:
+        depth = min(levels, 200 - steps)
+        ends, mids = [(lo, hi)], []
+        for node in range(2 ** depth - 1):
+            a, b = ends[node]
+            mid = 0.5 * (a + b)
+            mids.append(mid)
+            ends += (a, mid), (mid, b)
+        values = f(mids)
+        node = 0
+        for _ in range(depth):
+            if hi - lo <= tol:
+                break
+            if values[node] >= p:
+                hi, node = mids[node], 2 * node + 1
+            else:
+                lo, node = mids[node], 2 * node + 2
+            steps += 1
     return hi
 
 
@@ -353,27 +380,40 @@ class HermiteHalfEstimator(_Fitted):
 
     def _cdf(self, flat):
         _, integrals = hermite_basis(flat / self.scale, self.order_max)
-        out = self.coef @ integrals
+        # one dot product per contiguous row of integrals, so a point's value
+        # does not depend on the other points; coef @ integrals is a ddot at
+        # one point and a gemv at several, which round differently
+        out = np.vecdot(np.ascontiguousarray(integrals.T), self.coef)
         return np.clip(out, 0.0, 1.0) if self.clip else out
+
+    @cached_property
+    def _scan(self):
+        # the range the quantile search scans first and the estimate on it,
+        # evaluated once per fit and shared read-only by every level
+        grid = np.linspace(0.0, 2.0 * float(self.sample[-1]) + 10.0 * self.scale, 4097)
+        values = self.evaluate(grid)
+        grid.flags.writeable = values.flags.writeable = False
+        return grid, values
 
     def quantile(self, p):
         # generalized inf over a possibly non-monotone curve: locate the
-        # first upcrossing on a grid, then bisect inside that cell
+        # first upcrossing on a grid, doubling its range until one shows,
+        # then bisect inside that cell (six levels per call: see the module
+        # docstring)
         p = _check_level(p)
-        hi = 2.0 * float(self.sample[-1]) + 10.0 * self.scale
-        while True:
-            grid = np.linspace(0.0, hi, 4097)
-            above = np.nonzero(self.evaluate(grid) >= p)[0]
-            if above.size:
-                break
+        grid, values = self._scan
+        above = np.nonzero(values >= p)[0]
+        while not above.size:
+            hi = float(grid[-1])
             if hi >= _X_MAX:
                 raise QuantileBracketError(
                     f"estimate never reaches level {p} below x = {_X_MAX:g}")
-            hi = min(_X_MAX, 2.0 * hi)
+            grid = np.linspace(0.0, min(_X_MAX, 2.0 * hi), 4097)
+            above = np.nonzero(self.evaluate(grid) >= p)[0]
         j = above[0]
         if j == 0:
             return 0.0
-        return _bisect_increasing(self.evaluate, p, grid[j - 1], grid[j])
+        return _bisect_increasing(self.evaluate, p, grid[j - 1], grid[j], levels=6)
 
 
 def edf_fit(values):
@@ -490,8 +530,8 @@ def evaluate_rows(spec, samples, x, dist=None):
     if kind == "hermite_half":
         order_max, _, scale, clip = args
         _, integrals = hermite_basis(point / scale, order_max)
-        # one dot product per contiguous coefficient row, as the fit's
-        # coef @ integrals takes it; a matrix product would round differently
+        # one dot product per contiguous coefficient row, the form the fit's
+        # _cdf takes per point; a matrix product would round differently
         coefs = np.ascontiguousarray(_hermite_coefficients(samples, scale, order_max))
         out = np.vecdot(coefs, integrals[:, 0])
         return np.clip(out, 0.0, 1.0) if clip else out
@@ -531,7 +571,6 @@ def _check_order_max(order_max):
 
 
 def _check_scale(sigma):
-    sigma = float(sigma)
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    return sigma
+    if not 0.0 < float(sigma) < math.inf:  # NaN too
+        raise ValueError("sigma must be positive and finite")
+    return float(sigma)

@@ -330,7 +330,8 @@ def _ise_kernel(samples, param, u, w, x_nodes):
 
 
 def _ise_hermite(coefs, param, u, w, integrals):
-    # the fit's coef @ integrals on the first N + 1 coefficients of each row
+    # the fit's series sum_k a_k I_k on the first N + 1 coefficients of each
+    # row, as one matrix product
     terms = int(param) + 1
     return _ise_in_chunks(lambda rows: rows[:, :terms] @ integrals[:terms],
                           coefs, terms + 2 * u.size, u, w)

@@ -212,6 +212,12 @@ def test_estimate_standardized_hermite_and_missing_param(tmp_path, capsys):
     assert main(["estimate", "--sample", str(sample), "--kind", "szasz",
                  "--points", "1", "--out-dir", str(tmp_path)]) == 2
     assert "missing" in capsys.readouterr().err
+    # a sigma that is not positive and finite is a config error too
+    for sigma in ("nan", "inf", "-inf", "0"):
+        assert main(["estimate", "--sample", str(sample), "--kind", "hermite_half",
+                     "--N", "8", "--standardize", f"--sigma={sigma}",
+                     "--points", "1", "--out-dir", str(tmp_path)]) == 2
+        assert "sigma must be positive and finite" in capsys.readouterr().err
 
 
 def test_workers_env_var_overrides_flag(tmp_path, monkeypatch):

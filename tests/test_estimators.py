@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,14 @@ from smoothcdf import (
     szasz_fit,
     szasz_operator,
 )
-from smoothcdf.estimators import KINDS, SzaszEstimator, _Fitted
+from smoothcdf.estimators import (
+    KINDS,
+    HermiteHalfEstimator,
+    SzaszEstimator,
+    _bisect_increasing,
+    _Fitted,
+    evaluate_rows,
+)
 from smoothcdf.special import poisson_log_pmf
 
 
@@ -266,8 +274,14 @@ def test_hermite_standardization_identities():
     c = 3.7
     scaled = hermite_half_standardized_fit(c * data, 7, 0.0, c)
     assert np.allclose(scaled.evaluate(c * xs), plain.evaluate(xs), atol=1e-13)
-    with pytest.raises(ValueError):
-        hermite_half_standardized_fit(data, 7, 0.0, 0.0)
+    for sigma in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            hermite_half_standardized_fit(data, 7, 0.0, sigma)
+        spec = {"kind": "hermite_half", "N": 7, "standardize": True, "sigma": sigma}
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            fit_from_spec(spec, data)
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            evaluate_rows(spec, data[None, :], 1.0)
 
 
 def test_hermite_clip_flag(exp2):
@@ -278,6 +292,102 @@ def test_hermite_clip_flag(exp2):
     assert np.all(clipped.evaluate(xs) <= 1.0)
     assert np.all(clipped.evaluate(xs) >= 0.0)
     assert np.allclose(clipped.evaluate(xs), np.clip(raw.evaluate(xs), 0.0, 1.0))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 30).flatmap(lambda n: st.lists(
+           st.lists(st.floats(0.0, 20.0), min_size=n, max_size=n), min_size=1, max_size=3)),
+       order_max=st.integers(0, 40), scale=st.floats(0.05, 20.0), clip=st.booleans(),
+       xs=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=70))
+def test_hermite_value_at_a_point_does_not_depend_on_the_batch(rows, order_max, scale,
+                                                               clip, xs):
+    # the quantile bisection evaluates 63 midpoints per call and must walk as
+    # one midpoint per call would; evaluate_rows must equal the fits
+    samples = np.sort(np.array(rows), axis=1)
+    fits = [hermite_half_standardized_fit(row, order_max, None, scale, clip)
+            for row in samples]
+    xs = np.array(xs)
+    batch = fits[0].evaluate(xs)
+    assert _bits(batch) == _bits([fits[0].evaluate(x) for x in xs])
+    spec = {"kind": "hermite_half", "N": order_max, "standardize": True, "sigma": scale,
+            "clip": clip}
+    for x in xs[:3]:
+        assert _bits(evaluate_rows(spec, samples, x)) == _bits([f.evaluate(x) for f in fits])
+
+
+_ELEMENTWISE = {
+    "cubic": lambda x: np.asarray(x) ** 3,
+    "tanh": np.tanh,
+    "staircase": lambda x: np.floor(7.0 * np.asarray(x)),
+    "sine": lambda x: np.sin(13.0 * np.asarray(x)),
+    "sawtooth": lambda x: np.mod(5.0 * np.asarray(x), 1.0),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(_ELEMENTWISE)), lo=st.floats(-1e3, 1e3),
+       width=st.one_of(st.floats(0.0, 2e-10), st.floats(0.0, 1e4)), p=st.floats(-2.0, 2.0),
+       tol=st.sampled_from([1e-10, 1e-4, 0.0]))
+def test_bisection_levels_do_not_change_the_answer(name, lo, width, p, tol):
+    # monotone or not, the six-level walk halves as the one-level loop does;
+    # brackets within tol return at once, and tol = 0 runs to the 200-step cap
+    f, hi = _ELEMENTWISE[name], lo + width
+    want = _bisect_increasing(f, p, lo, hi, tol)
+    got = _bisect_increasing(f, p, lo, hi, tol, levels=6)
+    assert float(got).hex() == float(want).hex()
+
+
+def test_bisection_walks_six_levels_per_call():
+    # [0, 1] to within 1e-10 takes 34 halvings: 34 calls of one midpoint, or
+    # 6 calls of 63, the last walking 4 of its 6 levels
+    sizes = {}
+    for levels in (1, 6):
+        calls = []
+        _bisect_increasing(lambda x: calls.append(len(x)) or np.asarray(x), 0.3, 0.0, 1.0,
+                           levels=levels)
+        sizes[levels] = calls
+    assert sizes[1] == [1] * 34
+    assert sizes[6] == [63] * 6
+
+
+def test_hermite_scan_is_evaluated_once_outside_the_fields(monkeypatch, weibull1):
+    fit = hermite_half_standardized_fit(sample(weibull1, 5, 400), 20, None, weibull1.sd)
+    fresh, text, values = dataclasses.replace(fit), repr(fit), fit.sample.copy()
+    sizes = []
+    evaluate = HermiteHalfEstimator.evaluate
+    monkeypatch.setattr(HermiteHalfEstimator, "evaluate",
+                        lambda self, x: sizes.append(np.size(x)) or evaluate(self, x))
+    got = [fit.quantile(i / 20.0) for i in range(1, 20)]
+    # recorded from the search that bisected one midpoint per evaluate
+    assert got == [
+        0.18613878478743617, 0.3376631687903263, 0.4780344693524523, 0.6191009945441094,
+        0.7723898312735011, 0.9579321820826167, 1.2368123109502236, 1.7529658428102204,
+        2.1247073106677017, 2.397503034967004, 2.6616542653648385, 2.9611333876351464,
+        3.300665883621234, 3.6073836803295767, 3.8622795525486158, 4.094357402119588,
+        4.333538149345504, 4.628269632933577, 5.409836881849468]
+    assert sizes.count(4097) == 1 and set(sizes) == {4097, 63}
+    assert fit == fresh and repr(fit) == text and np.array_equal(fit.sample, values)
+    assert "_scan" not in {f.name for f in dataclasses.fields(fit)}
+    for array in fit._scan:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
+def test_hermite_quantile_past_the_first_scan_range():
+    # the truncated series crosses 0.765 only beyond 2 X_max + 10 = 11.6, so
+    # the search doubles its range; 0.9 it never reaches
+    fit = hermite_half_fit([0.0, 0.0, 0.5, 0.8], 64)
+    assert np.max(fit._scan[1]) < 0.765
+    for _ in range(2):  # the cached scan leaves both answers as they were
+        # recorded from the search that bisected one midpoint per evaluate
+        assert fit.quantile(0.765) == 11.823700548135093
+        with pytest.raises(QuantileBracketError, match="below x = 1e"):
+            fit.quantile(0.9)
 
 
 def test_quantile_round_trips(exp2):

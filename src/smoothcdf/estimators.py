@@ -27,10 +27,25 @@ does the same per distinct order of a chunk of rows.  The Bernstein fit
 builds its survival table only for the occupied orders, at most
 min(n, m + 1) rows; the Bernstein sweep keeps the full table.
 
-Quantiles are inf{x: Fhat(x) >= p}.  The Szasz, Bernstein and kernel fits
-widen a bracket and bisect it one midpoint per ``evaluate``: their cost
-grows with the number of points, so wider batches would be slower.  The
-Hermite series need not be monotone.  Its search finds the first upcrossing
+Quantiles are inf{x: Fhat(x) >= p}.  The EDF takes the k-th order
+statistic for the smallest k with k / n >= p.  The Szasz, Bernstein and
+kernel fits are non-decreasing in exact arithmetic.  They widen a bracket
+and then return exactly what bisecting it one midpoint per ``evaluate``
+returns, in about 15 one-point calls per level instead of about 40
+(``_bisect_certified``).  Illinois regula falsi, started from the values
+the widening already has, *locates* the crossing x_hat.  Probes on either
+side, 4-fold farther each time, *certify* a lower point with Fhat < p - eta
+and an upper one with Fhat >= p + eta, eta = ``_ETA`` = 1e-12.  The
+bisection is then *replayed* unchanged: a midpoint at or above the upper
+point counts as >= p and one at or below the lower point as < p without a
+call, and only midpoints strictly between them are evaluated.  Each replay
+decision is the plain loop's unless a float value of the fit falls below
+the value at an earlier point by eta; the largest such dip measured over
+random fits of the three families, points 1e-9 apart, was 0.0.  Every
+call takes one point: their cost grows with the number of points, so wider
+batches would be slower.
+
+The Hermite series need not be monotone.  Its search finds the first upcrossing
 on a 4097-point grid, which each fit evaluates once and keeps read-only for
 every level, and bisects that cell six levels per ``evaluate``, whose cost
 is nearly all per call.  A Hermite value at a point does not depend on the
@@ -73,6 +88,10 @@ __all__ = [
 
 _X_MAX = 1e6  # quantile bracketing gives up past this point
 _ELEMENT_BUDGET = 250_000  # array elements one chunk of rows or points may allocate
+# eta: a float evaluation of a non-decreasing fit is taken to dip below an
+# earlier point's value by less than this; the certified quantile search
+# rests on it (the dip measured over random fits of each family was 0.0)
+_ETA = 1e-12
 
 
 class QuantileBracketError(RuntimeError):
@@ -98,11 +117,13 @@ def _check_sample(x, lower, upper, what="sample"):
 
 
 def _check_points(x, lower, upper):
-    # evaluation points inside an estimator's domain [lower, upper]
-    if upper < math.inf:
-        if (x < lower).any() or (x > upper).any():
+    # evaluation points inside an estimator's domain [lower, upper]; NaN
+    # fails both comparisons, so the one test rejects it on every domain
+    if not np.all((x >= lower) & (x <= upper)):
+        if np.isnan(x).any():
+            raise ValueError("evaluation points must not be NaN")
+        if upper < math.inf:
             raise ValueError(f"evaluation points must lie in [{lower:g}, {upper:g}]")
-    elif lower > -math.inf and (x < lower).any():
         raise ValueError(f"evaluation points must be >= {lower:g}")
 
 
@@ -140,6 +161,56 @@ def _bisect_increasing(f, p, lo, hi, tol=1e-10, levels=1):
                 lo, node = mids[node], 2 * node + 2
             steps += 1
     return hi
+
+
+def _bisect_certified(f, p, lo, f_lo, hi, f_hi, tol=1e-10):
+    # _bisect_increasing(f, p, lo, hi, tol) bit for bit, for a non-decreasing
+    # f of one point with f_lo = f(lo) < p <= f_hi = f(hi), in far fewer
+    # calls: locate, certify, replay (see the module docstring)
+    if hi - lo <= tol:
+        return hi
+    seen = {lo: f_lo, hi: f_hi}
+
+    def at(x):
+        if x not in seen:
+            seen[x] = f(x)
+        return seen[x]
+
+    # Illinois regula falsi on [a, b]; wa < 0 <= wb are f - p at the ends,
+    # halved at an end the secant has kept twice in a row
+    a, b, wa, wb, kept = lo, hi, f_lo - p, f_hi - p, 0
+    for _ in range(30):
+        x = a + (b - a) * (-wa / (wb - wa))
+        if not a < x < b:
+            x = 0.5 * (a + b)
+        fx = at(x) - p
+        if fx >= 0.0:
+            b, wb = x, fx
+            wa, kept = (0.5 * wa if kept == 1 else wa), 1
+        else:
+            a, wa = x, fx
+            wb, kept = (0.5 * wb if kept == -1 else wb), -1
+        if abs(fx) <= _ETA or b - a <= tol:
+            break
+    # the closest points known to decide: lo and hi, whose values are exact
+    # at themselves, and any evaluated point clear of p by _ETA
+    lower = max([lo] + [t for t, v in seen.items() if v < p - _ETA])
+    upper = min([hi] + [t for t, v in seen.items() if v >= p + _ETA])
+    delta = 0.5 * tol + 4.0 * _ETA * (b - a) / (seen[b] - seen[a])
+    step = delta
+    while x - step > lower and at(x - step) >= p - _ETA:
+        step *= 4.0
+    lower = max(lower, x - step)
+    step = delta
+    while x + step < upper and at(x + step) < p + _ETA:
+        step *= 4.0
+    upper = min(upper, x + step)
+
+    def decided(mids):
+        mid = mids[0]
+        return [math.inf if mid >= upper else -math.inf if mid <= lower else at(mid)]
+
+    return _bisect_increasing(decided, p, lo, hi, tol)
 
 
 def _in_chunks(fn, items, width):
@@ -248,23 +319,27 @@ class _Fitted:
     def _search(self, p, lo, hi):
         # inf{x: Fhat(x) >= p} for a non-decreasing fit: double the width of
         # [lo, hi] until Fhat(lo) < p <= Fhat(hi), within the domain and
-        # +-_X_MAX, then bisect.  Fhat(lo) >= p at the domain's lower edge
-        # makes the edge itself the answer
+        # +-_X_MAX, then bisect on certified decisions.  Fhat(lo) >= p at the
+        # domain's lower edge makes the edge itself the answer
         p = _check_level(p)
         floor, ceiling = max(self._lower, -_X_MAX), min(self._upper, _X_MAX)
-        while self.evaluate(lo) >= p:
+        f_lo = self.evaluate(lo)
+        while f_lo >= p:
             if lo <= floor:
                 if floor == self._lower:
                     return lo
                 raise QuantileBracketError(
                     f"estimator exceeds level {p} already at x = {floor:g}")
             lo = max(floor, hi - 2.0 * (hi - lo))
-        while self.evaluate(hi) < p:
+            f_lo = self.evaluate(lo)
+        f_hi = self.evaluate(hi)
+        while f_hi < p:
             if hi >= ceiling:
                 raise QuantileBracketError(
                     f"estimator never reaches level {p} below x = {ceiling:g}")
             hi = min(ceiling, lo + 2.0 * (hi - lo))
-        return _bisect_increasing(self.evaluate, p, lo, hi)
+            f_hi = self.evaluate(hi)
+        return _bisect_certified(self.evaluate, p, lo, f_lo, hi, f_hi)
 
 
 @dataclass(frozen=True)
@@ -278,10 +353,16 @@ class EmpiricalCDF(_Fitted):
         return np.searchsorted(self.sample, flat, side="right") / self.n
 
     def quantile(self, p):
-        # inf{x: F_n(x) >= p} is the ceil(n p)-th order statistic; the tiny
-        # slack guards against n*p landing one ulp above an integer
-        p = _check_level(p)
-        return float(self.sample[math.ceil(self.n * p - 1e-9) - 1])
+        # inf{x: F_n(x) >= p} is the k-th order statistic for the smallest k
+        # with k / n >= p, the quotient taken as _cdf takes it; ceil(n p) is
+        # off by at most one, since n p rounds once
+        p, n = _check_level(p), self.n
+        k = min(max(math.ceil(n * p), 1), n)
+        if k > 1 and (k - 1) / n >= p:
+            k -= 1
+        elif k / n < p:
+            k += 1
+        return float(self.sample[k - 1])
 
 
 @dataclass(frozen=True)

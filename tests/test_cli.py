@@ -267,3 +267,14 @@ def test_estimate_requires_points(tmp_path, capsys):
         main(["estimate", "--sample", str(sample), "--kind", "edf",
               "--out-dir", str(tmp_path)])
     assert exc.value.code == 2
+
+
+def test_estimate_rejects_nan_points(tmp_path, capsys):
+    sample = tmp_path / "s.txt"
+    _write_sample(sample, [1.0, 2.0])
+    for kind, extra in (("edf", []), ("szasz", ["--m", "5"]), ("kernel", ["--h", "0.1"])):
+        code = main(["estimate", "--sample", str(sample), "--kind", kind, *extra,
+                     "--points", "1,nan", "--out-dir", str(tmp_path / kind)])
+        assert code == 2
+        assert "must not be NaN" in capsys.readouterr().err
+        assert not (tmp_path / kind / "estimate.csv").exists()

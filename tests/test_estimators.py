@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from smoothcdf import (
     QuantileBracketError,
     bernstein_fit,
     edf_fit,
+    estimators,
     fit_from_spec,
     hermite_half_fit,
     hermite_half_standardized_fit,
@@ -37,6 +39,35 @@ def test_edf_basic():
     assert fit.evaluate(0.5) == 0.0
     assert fit.evaluate(10.0) == 1.0
     assert fit.quantile(0.5) == 2.0
+
+
+def test_edf_quantile_is_the_smallest_order_statistic_reaching_the_level():
+    # the slack of ceil(n p - 1e-9) used to give index -1 (the maximum) at a
+    # tiny level and to drop one order statistic just above k / n
+    fit = edf_fit([4.0, 2.0, 1.0, 3.0])
+    assert fit.quantile(1e-12) == 1.0
+    assert fit.quantile(0.25) == 1.0
+    assert fit.quantile(0.2500000000001) == 2.0
+    assert fit.quantile(0.75) == 3.0
+    assert fit.quantile(1.0 - 1e-16) == 4.0
+    # 25 * (7 / 25) rounds up to 7.000000000000001, whose ceiling is one too high
+    assert edf_fit(np.arange(1.0, 26.0)).quantile(7 / 25) == 7.0
+    # 3 times the float after 1 / 3 rounds down to 1.0, whose ceiling is one too low
+    assert edf_fit([1.0, 2.0, 3.0]).quantile(math.nextafter(1 / 3, 1.0)) == 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.one_of(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60),
+                        st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=1, max_size=60)),
+       p=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                   st.builds(lambda k, n: k / n, st.integers(1, 59), st.integers(60, 60))))
+def test_edf_quantile_round_trips_exactly(values, p):
+    # F_n(q) >= p > F_n(the largest observation below q), as evaluate reads F_n
+    fit = edf_fit(values)
+    q = fit.quantile(p)
+    below = fit.sample[fit.sample < q]
+    assert fit.evaluate(q) >= p
+    assert below.size == 0 or fit.evaluate(below[-1]) < p
 
 
 def test_sample_order_invariance():
@@ -148,6 +179,23 @@ def test_szasz_matches_truncated_series(exp2):
         edf_at_grid = np.searchsorted(s, k / m, side="right") / n
         series = float(np.sum(edf_at_grid * np.exp(poisson_log_pmf(k, z))))
         assert fit.evaluate(x) == pytest.approx(series, abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.floats(0.0, 8.0, exclude_min=True), min_size=1, max_size=30),
+       m=st.integers(1, 100), x=st.floats(0.0, 6.0))
+def test_szasz_finite_form_equals_the_series_form(values, m, x):
+    # Fhat(x) = sum_k V_k(m x) F_n(k / m), the paper's operator, with the
+    # Poisson weights V_k from poisson_log_pmf and the sum cut where the tail
+    # is below 1e-30.  Observations are positive: the fit gives one at
+    # exactly 0 the order 1, where F_n(0) would count it; m x <= 600 keeps
+    # the weights' |k log z| eps error under the bound
+    fit = szasz_fit(values, m)
+    z = m * x
+    k = np.arange(math.ceil(z + 12.0 * math.sqrt(z) + 40.0) + 1, dtype=float)
+    edf_at_grid = np.searchsorted(fit.sample, k / m, side="right") / fit.n
+    series = float(np.sum(edf_at_grid * np.exp(poisson_log_pmf(k, z))))
+    assert abs(fit.evaluate(x) - series) <= 1e-12
 
 
 def test_szasz_expectation_identity(exp2):
@@ -498,6 +546,76 @@ def test_estimator_properties_on_edge_samples(kind, unit, k, p, scale):
         assert fit.evaluate(q - 1e-9) <= p
 
 
+def _quantile_or_error(fit, p):
+    try:
+        return float(fit.quantile(p)).hex()
+    except QuantileBracketError:
+        return "QuantileBracketError"
+
+
+def _plain_bisection(f, p, lo, f_lo, hi, f_hi):
+    # the search before the certified one: the same bracket, then one
+    # midpoint per call of f
+    return _bisect_increasing(f, p, lo, hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["szasz", "kernel", "bernstein"]),
+       unit=st.one_of(_EDGE_SAMPLES, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60)),
+       m=st.integers(1, 500), h=st.floats(1e-3, 5.0),
+       p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       scale=st.sampled_from([1.0, 1e-300, 1e6]))
+def test_certified_quantile_equals_the_plain_bisection_bitwise(kind, unit, m, h, p, scale):
+    # n = 1, ties, exact zeros and random samples at three scales (Bernstein
+    # data stay in [0, 1]); a level that is never reached raises in both
+    values = [v * (min(scale, 1.0) if kind == "bernstein" else scale) for v in unit]
+    fit = fit_from_spec({"kind": kind, "m": m, "h": h}, values)
+    got = _quantile_or_error(fit, p)
+    with mock.patch.object(estimators, "_bisect_certified", _plain_bisection):
+        assert got == _quantile_or_error(fit, p)
+
+
+def test_certified_quantiles_keep_their_recorded_values(weibull1, beta33):
+    fits = [szasz_fit(sample(weibull1, 5, 400), 60), kernel_fit(sample(weibull1, 5, 400), 0.2),
+            bernstein_fit(sample(beta33, 5, 400), 40)]
+    got = [[fit.quantile(i / 20.0) for i in range(1, 20)] for fit in fits]
+    # recorded from the search that bisected one midpoint per evaluate
+    assert got == [
+        [0.12443553481756621, 0.23546330151808, 0.3631344352688374, 0.491673194676842,
+         0.6212190389084058, 0.8092310769202092, 1.0328939050206714, 1.4418244263716748,
+         1.853386469374119, 2.1505071696910183, 2.471266689673909, 2.7686655242423517,
+         3.080908664103291, 3.377566994107762, 3.6500589407344375, 3.9161059793981288,
+         4.1694428984569285, 4.443448904378606, 4.8336915576234585],
+        [0.07278607156187328, 0.2305247828841095, 0.3652649680949557, 0.4995567590361184,
+         0.6466613035719204, 0.8229195396735809, 1.056276507600377, 1.443560621330895,
+         1.8483412097007499, 2.1512776223531622, 2.469499868718092, 2.765481192004103,
+         3.082203996705637, 3.380085847744737, 3.6497880552794753, 3.9212283257751324,
+         4.165543921405551, 4.424945369027349, 4.800566142758935],
+        [0.16958007821813226, 0.2237402648315765, 0.26658823515754193, 0.3052386950002983,
+         0.34120147832436487, 0.37490876589436084, 0.40679978585103527, 0.4374192780815065,
+         0.46729916107142344, 0.49689181422581896, 0.5265674616675824, 0.5566449165344238,
+         0.5874355674604885, 0.6192962171626277, 0.652712071838323, 0.6884717090288177,
+         0.728063631511759, 0.7746444224612787, 0.8363381584640592]]
+
+
+def test_szasz_quantile_takes_at_most_20_evaluations_per_level(monkeypatch, weibull1):
+    # n = 1000, m = 100 as in the fit-query benchmark: the widening's two
+    # calls plus 37 one-point midpoints per level before, about 15 now (the
+    # upper tail takes the most, up to 21 at 0.95)
+    fit = szasz_fit(sample(weibull1, 0, 1000), 100)
+    levels = [i / 20.0 for i in range(1, 20)]
+    sizes = []
+    evaluate = SzaszEstimator.evaluate
+    monkeypatch.setattr(SzaszEstimator, "evaluate",
+                        lambda self, x: sizes.append(np.size(x)) or evaluate(self, x))
+    certified = [fit.quantile(p) for p in levels]
+    calls, sizes[:] = len(sizes), []
+    monkeypatch.setattr(estimators, "_bisect_certified", _plain_bisection)
+    assert [fit.quantile(p) for p in levels] == certified
+    assert len(sizes) == 39 * len(levels) and set(sizes) == {1}
+    assert calls <= 20 * len(levels)
+
+
 def test_fit_from_spec(exp2):
     s = sample(exp2, 2, 30)
     assert fit_from_spec({"kind": "edf"}, s).kind == "edf"
@@ -527,3 +645,22 @@ def test_fits_reject_non_integer_orders_and_infinite_bandwidths():
         for order in (3.0, np.int64(3), np.float64(3.0)):
             assert np.array_equal(fit(x, order).evaluate(pts), want)
     assert type(szasz_fit(x, 3.0).m) is int and type(hermite_half_fit(x, 3.0).order_max) is int
+
+
+def test_nan_evaluation_points_are_rejected_by_every_family():
+    # they used to give 1.0 (EDF), NaN (Szasz, kernel, Bernstein) or a
+    # RuntimeWarning (Hermite)
+    x = [0.2, 0.7]
+    for kind in KINDS:
+        fit = _fit_kind(kind, x, 3)
+        for points in (math.nan, [0.5, math.nan], np.array([[0.1], [math.nan]])):
+            with pytest.raises(ValueError, match="must not be NaN"):
+                fit.evaluate(points)
+        with pytest.raises(ValueError, match="must not be NaN"):
+            evaluate_rows({"kind": kind, "m": 3, "h": 0.15, "N": 3}, np.array([x]), math.nan)
+    # the domain messages are unchanged
+    with pytest.raises(ValueError, match=r"must be >= 0"):
+        szasz_fit(x, 3).evaluate(-0.5)
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        bernstein_fit(x, 3).evaluate([0.5, 1.5])
+    assert kernel_fit(x, 0.1).evaluate([-math.inf, math.inf]).tolist() == [0.0, 1.0]

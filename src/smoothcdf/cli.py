@@ -188,7 +188,8 @@ def cmd_normality(args):
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad normality config: {exc}") from exc
     try:
-        result = normality_experiment(dist, estimator, x, n, m_reps, master_seed)
+        result = normality_experiment(dist, estimator, x, n, m_reps, master_seed,
+                                      workers=args.workers)
     except KeyError as exc:
         raise ConfigError(f"estimator spec is missing {exc}") from exc
     except ValueError as exc:
@@ -305,6 +306,7 @@ def build_parser():
     p = sub.add_parser("normality", help="sampling distribution of Fhat(x) vs normal law")
     p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--out-dir", default=".")
+    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_normality)
 
     p = sub.add_parser("asymptotics", help="bias/variance coefficients and optimal orders")

@@ -1,9 +1,15 @@
 """Ground-truth distributions for the simulation study.
 
-Each model carries the analytic CDF, density, density derivative, quantile
-and a seeded sampler.  Sampling is per-draw inverse transform on a Philox
-counter-based stream, so a (seed, n) pair fully determines the output on
-any platform and samples are returned sorted ascending.
+Each model carries the analytic CDF, survival function, density, density
+derivative and quantile, and a sampler in two parts: a fixed count of
+uniforms per draw (1 for the exponential and beta models, 2 for the
+Weibull mixture, whose first n uniforms pick the components and whose next
+n invert them), and a pure elementwise inverse transform of an array of
+such uniforms.  ``sample`` is the one-row case: n draws' uniforms from a
+Philox counter-based stream keyed by the seed, inverted and sorted, so a
+(seed, n) pair fully determines the output on any platform.
+``simulation.samples_matrix`` applies the same two parts to chunks of
+rows, each row from its own seed, and gets the same bits.
 """
 
 from __future__ import annotations
@@ -31,20 +37,27 @@ class TrueDistribution:
     """A known distribution exposing everything the experiments need.
 
     ``support`` is (0, inf) for the half-line models and (0, 1) for beta.
-    ``mean`` and ``sd`` are the analytic moments; the standardized Hermite
-    estimator uses ``sd`` as its known true scale.
+    ``sf`` is 1 - cdf without its cancellation near F = 1.  ``mean`` and
+    ``sd`` are the analytic moments; the standardized Hermite estimator
+    uses ``sd`` as its known true scale.
     """
 
     name: str
     support: tuple[float, float]
     cdf: Callable[[np.ndarray], np.ndarray]
+    sf: Callable[[np.ndarray], np.ndarray]
     pdf: Callable[[np.ndarray], np.ndarray]
     pdf_prime: Callable[[np.ndarray], np.ndarray]
     quantile: Callable[[np.ndarray], np.ndarray]
     mean: float
     sd: float
-    # draws n variates from an already-seeded Generator, unsorted
-    _draw: Callable[[np.random.Generator, int], np.ndarray] = field(repr=False)
+    # uniforms one draw consumes, and the elementwise inverse transform of
+    # an array whose last axis holds uniforms_per_draw * n of them, giving
+    # the n draws of each row, unsorted
+    uniforms_per_draw: int = field(repr=False)
+    _invert: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    # array elements per draw held at once while inverting, uniforms included
+    invert_width: int = field(repr=False)
     spec: dict = field(default_factory=dict)
 
 
@@ -78,6 +91,10 @@ def make_exponential(rate):
         x = np.asarray(x, dtype=float)
         return np.where(x > 0.0, -np.expm1(-rate * x), 0.0)
 
+    def sf(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x > 0.0, np.exp(-rate * x), 1.0)
+
     def pdf(x):
         x = np.asarray(x, dtype=float)
         return np.where(x >= 0.0, rate * np.exp(-rate * x), 0.0)
@@ -91,28 +108,31 @@ def make_exponential(rate):
         with np.errstate(divide="ignore"):  # p = 1 maps to +inf
             return -np.log1p(-p) / rate
 
-    def draw(rng, n):
-        return -np.log1p(-rng.random(n)) / rate
+    def invert(u):
+        return -np.log1p(-u) / rate
 
     return TrueDistribution(
         name=f"exponential(rate={rate:g})",
         support=(0.0, math.inf),
         cdf=cdf,
+        sf=sf,
         pdf=pdf,
         pdf_prime=pdf_prime,
         quantile=quantile,
         mean=1.0 / rate,
         sd=1.0 / rate,
-        _draw=draw,
+        uniforms_per_draw=1,
+        _invert=invert,
+        invert_width=3,
         spec={"kind": "exponential", "rate": rate},
     )
 
 
-def _weibull_cdf(x, shape, scale):
+def _weibull_hazard(x, shape, scale):
+    # cumulative hazard (x / scale)^shape: cdf 1 - exp(-t), survival exp(-t)
     x = np.asarray(x, dtype=float)
     with np.errstate(invalid="ignore"):
-        t = np.where(x > 0.0, (x / scale) ** shape, 0.0)
-    return -np.expm1(-t)
+        return np.where(x > 0.0, (x / scale) ** shape, 0.0)
 
 
 def _weibull_pdf(x, shape, scale):
@@ -154,7 +174,11 @@ def make_weibull_mixture(spec):
 
     def cdf(x):
         x = np.asarray(x, dtype=float)
-        parts = [w * _weibull_cdf(x, a, b) for w, a, b in spec.components]
+        parts = [w * -np.expm1(-_weibull_hazard(x, a, b)) for w, a, b in spec.components]
+        return np.sum(parts, axis=0)
+
+    def sf(x):
+        parts = [w * np.exp(-_weibull_hazard(x, a, b)) for w, a, b in spec.components]
         return np.sum(parts, axis=0)
 
     def pdf(x):
@@ -184,12 +208,12 @@ def make_weibull_mixture(spec):
         out = 0.5 * (lo + hi)
         return float(out[0]) if scalar else out
 
-    def draw(rng, n):
-        # per-draw: one uniform picks the component, one inverts its CDF
-        u_comp = rng.random(n)
-        u_inv = rng.random(n)
-        idx = np.searchsorted(cumw, u_comp, side="right").clip(max=len(cumw) - 1)
-        return scales[idx] * (-np.log1p(-u_inv)) ** (1.0 / shapes[idx])
+    def invert(u):
+        # per draw: the first half's uniform picks the component, the
+        # second half's inverts its CDF
+        n = u.shape[-1] // 2
+        idx = np.searchsorted(cumw, u[..., :n], side="right").clip(max=len(cumw) - 1)
+        return scales[idx] * (-np.log1p(-u[..., n:])) ** (1.0 / shapes[idx])
 
     means = scales * sp.gamma(1.0 + 1.0 / shapes)
     second = scales**2 * sp.gamma(1.0 + 2.0 / shapes)
@@ -201,12 +225,15 @@ def make_weibull_mixture(spec):
         name=name,
         support=(0.0, math.inf),
         cdf=cdf,
+        sf=sf,
         pdf=pdf,
         pdf_prime=pdf_prime,
         quantile=quantile,
         mean=mean,
         sd=math.sqrt(var),
-        _draw=draw,
+        uniforms_per_draw=2,
+        _invert=invert,
+        invert_width=7,
         spec={"kind": "weibull_mixture", "components": [list(c) for c in spec.components]},
     )
 
@@ -223,6 +250,10 @@ def make_beta(alpha, beta):
         x = np.asarray(x, dtype=float)
         xc = np.clip(x, 0.0, 1.0)
         return sp.betainc(alpha, beta, xc)
+
+    def sf(x):
+        x = np.asarray(x, dtype=float)
+        return sp.betaincc(alpha, beta, np.clip(x, 0.0, 1.0))
 
     def pdf(x):
         x = np.asarray(x, dtype=float)
@@ -244,20 +275,23 @@ def make_beta(alpha, beta):
         out = sp.betaincinv(alpha, beta, p)
         return float(out) if out.ndim == 0 else out
 
-    def draw(rng, n):
-        return sp.betaincinv(alpha, beta, rng.random(n))
+    def invert(u):
+        return sp.betaincinv(alpha, beta, u)
 
     s = alpha + beta
     return TrueDistribution(
         name=f"beta({alpha:g},{beta:g})",
         support=(0.0, 1.0),
         cdf=cdf,
+        sf=sf,
         pdf=pdf,
         pdf_prime=pdf_prime,
         quantile=quantile,
         mean=alpha / s,
         sd=math.sqrt(alpha * beta / (s * s * (s + 1.0))),
-        _draw=draw,
+        uniforms_per_draw=1,
+        _invert=invert,
+        invert_width=2,
         spec={"kind": "beta", "alpha": alpha, "beta": beta},
     )
 
@@ -265,16 +299,24 @@ def make_beta(alpha, beta):
 def sample(dist, seed, n):
     """n i.i.d. draws from ``dist``, sorted ascending.
 
-    Deterministic given (seed, n): the stream is Philox keyed by ``seed``
-    and every model consumes a fixed number of uniforms per draw.
+    Deterministic given (seed, n): ``dist.uniforms_per_draw * n`` uniforms
+    from the Philox stream keyed by ``seed``, then the model's inverse
+    transform.  This is the one-row case of ``simulation.samples_matrix``,
+    which draws chunks of rows through the same two steps.
     """
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)))
-    values = dist._draw(rng, n)
+    values = dist._invert(_uniforms(seed, np.empty(dist.uniforms_per_draw * n)))
     values.sort()
     return values
+
+
+def _uniforms(seed, out):
+    # fills out with the first out.size uniforms of the Philox stream keyed
+    # by seed (modulo 2**64); one call per drawn sample
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)))
+    return rng.random(out=out)
 
 
 def distribution_from_spec(spec):

@@ -10,6 +10,12 @@ same per-repetition samples across the whole parameter grid (common
 random numbers), and every repetition's seed is derived from
 (master_seed, repetition_index), so results are independent of scheduling.
 
+Sample matrices are drawn in chunks of rows: each row's uniforms come
+from the Philox stream keyed by its repetition seed, the model's inverse
+transform takes the whole chunk in one call, and the rows are sorted in
+place.  The chunks fan out over the caller's ``workers`` threads and
+together hold at most a quarter of ``_ELEMENT_BUDGET`` elements beside
+the matrix; every row equals ``models.sample`` at its seed bit for bit.
 Estimators compared on the same (model, seed, n) share one draw as well:
 ``samples_matrix`` keeps its most recent matrix, keyed on the identity of
 the model object, the normalised seed and n, and answers any smaller
@@ -39,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as sp
 
-from . import models
+from . import estimators, models
 from .estimators import (
     KINDS, EmpiricalCDF, _bernstein_rows, _bernstein_survival, _check_bandwidth,
     _check_order, _check_order_max, _hermite_coefficients, _in_chunks, _kernel_rows,
@@ -128,10 +134,19 @@ def repetition_seed(master_seed, index):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def samples_matrix(dist, master_seed, n_reps, n):
+def samples_matrix(dist, master_seed, n_reps, n, workers=1):
     """n_reps independent sorted samples of size n, one per row, read-only.
 
-    Row i is ``models.sample(dist, repetition_seed(master_seed, i), n)``.
+    Row i is ``models.sample(dist, repetition_seed(master_seed, i), n)``,
+    bit for bit.  The rows are drawn in chunks: each row's uniforms come
+    from its own Philox stream, the model's inverse transform takes the
+    whole chunk in one call, and the rows are sorted in place.  The chunks
+    fan out over ``workers`` threads; those in flight hold at most a
+    quarter of ``_ELEMENT_BUDGET`` elements together, the model's
+    ``invert_width`` counting the uniforms and the transform's temporaries
+    of one draw.  Rows are drawn in any order on any thread and give the
+    same bits, so the output does not depend on ``workers``.
+
     The most recent matrix is kept and shared: a later call with the same
     ``dist`` object (compared by identity), seed and n gets the first
     n_reps rows of it back without drawing, so estimators compared on the
@@ -142,6 +157,8 @@ def samples_matrix(dist, master_seed, n_reps, n):
     n_reps, n = int(n_reps), int(n)
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     seed = int(master_seed) & 0xFFFF_FFFF_FFFF_FFFF
     # one read of the shared entry: a concurrent caller can replace it, so
     # a race may cost a redraw but never hands out rows of other inputs
@@ -152,11 +169,28 @@ def samples_matrix(dist, master_seed, n_reps, n):
     # drop the old matrix before drawing, so two are never alive at once
     _last_draw = entry = None
     out = np.empty((n_reps, n))
-    for i in range(n_reps):
-        out[i] = models.sample(dist, repetition_seed(seed, i), n)
+    step = _draw_chunk_rows(dist, n, workers)
+
+    def draw(start):
+        rows = out[start:start + step]
+        u = np.empty((rows.shape[0], dist.uniforms_per_draw * n))
+        for i, row in enumerate(u, start):
+            models._uniforms(repetition_seed(seed, i), row)
+        rows[...] = dist._invert(u)
+        rows.sort(axis=1)
+
+    _thread_map(draw, range(0, n_reps, step), workers)
     out.flags.writeable = False
     _last_draw = (dist, seed, n, out)
     return out
+
+
+def _draw_chunk_rows(dist, n, workers):
+    # rows per chunk of a draw: the chunks in flight on all workers hold at
+    # most a quarter of _ELEMENT_BUDGET elements together (one row when a
+    # single row's draw needs more)
+    budget = estimators._ELEMENT_BUDGET
+    return max(1, budget // (4 * max(1, int(workers)) * dist.invert_width * n))
 
 
 @lru_cache(maxsize=8)
@@ -205,11 +239,11 @@ def normality_experiment(dist, estimator_spec, x, n, M, master_seed, workers=1):
     Returns the M values together with the reference normal law
     (mean F(x), variance F(x)(1 - F(x))/n) and the Kolmogorov-Smirnov
     distance between the two.  The samples come from ``samples_matrix``,
-    so specs run at the same (dist, master_seed, n) share one draw.  Each
-    value is ``fit_from_spec(estimator_spec, row, dist).evaluate(x)`` of
-    one sample row, computed by ``estimators.evaluate_rows`` over chunks
-    of rows on the calling thread; ``workers`` is accepted and has no
-    effect.
+    whose chunks of rows are drawn on ``workers`` threads, so specs run at
+    the same (dist, master_seed, n) share one draw.  Each value is
+    ``fit_from_spec(estimator_spec, row, dist).evaluate(x)`` of one sample
+    row, computed by ``estimators.evaluate_rows`` over chunks of rows on
+    the calling thread.  The values do not depend on ``workers``.
     """
     if n < 1 or M < 1:
         raise ValueError("n and M must be >= 1")
@@ -217,7 +251,8 @@ def normality_experiment(dist, estimator_spec, x, n, M, master_seed, workers=1):
     fx = float(dist.cdf(x))
     if not 0.0 < fx < 1.0:
         raise ValueError("normality experiment needs 0 < F(x) < 1")
-    values = evaluate_rows(estimator_spec, samples_matrix(dist, master_seed, M, n), x, dist)
+    values = evaluate_rows(estimator_spec, samples_matrix(dist, master_seed, M, n, workers),
+                           x, dist)
     ref_sd = math.sqrt(fx * (1.0 - fx) / n)
     ks = ks_distance_normal(values, fx, ref_sd)
     return NormalityResult(x, int(n), int(M), values, fx, ref_sd, ks)
@@ -239,7 +274,7 @@ def ks_distance_normal(values, mean, sd):
 def _ise_matrix(config, workers=1):
     """Per-repetition, per-parameter ISE matrix of shape (M, len(grid))."""
     dist = config.dist
-    samples = samples_matrix(dist, config.master_seed, config.M, config.n)
+    samples = samples_matrix(dist, config.master_seed, config.M, config.n, workers)
     u, w = _unit_nodes(config.quadrature_nodes)
     family = config.estimator_family
     if family == "edf":

@@ -215,9 +215,14 @@ def R_j(m, x, j):
 def szasz_exact_moments(dist, m, n, x):
     """Exact bias and variance of the smooth estimator at x > 0.
 
-    The second moment of one smoothing summand is
-        sum_{k,l} F((k ^ l)/m) V_k V_l - S_m^2,
-    and the estimator variance is that divided by n.
+    One smoothing summand has variance
+        sum_{k,l} V_k V_l (F((k ^ l)/m) - F_k F_l)
+            = sum_k F_k V_k (V_k (1 - F_k) + 2 R_k),
+        R_k = sum_{l > k} (1 - F_l) V_l,
+    with F_k = F(k/m) and 1 - F taken from ``dist.sf``.  Every term is
+    non-negative, so the variance keeps its relative accuracy where
+    F(x) is within rounding of 1; the estimator variance is that divided
+    by n.
     """
     m = int(m)
     n = int(n)
@@ -226,13 +231,15 @@ def szasz_exact_moments(dist, m, n, x):
         raise ValueError("x must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
-    k, v, q, tail = _weights_and_suffix(m, x)
+    k, v, tail = _band(m, x)
     fk = np.asarray(dist.cdf(k / m), dtype=float)
+    upper = np.asarray(dist.sf(k / m), dtype=float) * v
+    # R_k: the sums of (1 - F_l) V_l over l > k, smallest terms first
+    r = np.append(np.cumsum(upper[:0:-1])[::-1], 0.0)
     s_m = float(np.sum(fk * v))
-    second = float(np.sum(fk * v * (2.0 * q - v)))
-    variance = (second - s_m**2) / n
+    variance = float(np.sum(fk * v * (upper + 2.0 * r))) / n
     bias = float(np.sum((fk - float(dist.cdf(x))) * v))  # s_m - F(x) cancels near F = 1
-    return ExactMoments(m, n, x, s_m, bias, max(variance, 0.0), tail)
+    return ExactMoments(m, n, x, s_m, bias, variance, tail)
 
 
 def exact_deficiency_local(dist, m, n, x):

@@ -141,6 +141,28 @@ def test_normality_command(tmp_path):
     assert 0.0 <= summary["ks_distance"] <= 1.0
 
 
+def test_normality_output_does_not_depend_on_workers(tmp_path, monkeypatch):
+    # 400 repetitions of n=100 are three chunks of rows on two workers
+    monkeypatch.delenv("SMOOTHCDF_WORKERS", raising=False)
+    config = {"dist": {"kind": "beta", "alpha": 3, "beta": 3},
+              "estimator": {"kind": "szasz", "m": 50}, "x": 0.4, "n": 100, "M": 400,
+              "master_seed": 5}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert main(["normality", "--config", str(cfg_path), "--out-dir", str(out),
+                     "--workers", workers]) == 0
+        outputs.append([(out / name).read_bytes()
+                        for name in ("normality_values.csv", "normality_summary.json")])
+    assert outputs[0] == outputs[1]
+    # SMOOTHCDF_WORKERS overrides the flag here as it does for sweep
+    monkeypatch.setenv("SMOOTHCDF_WORKERS", "not-a-number")
+    assert main(["normality", "--config", str(cfg_path), "--out-dir", str(tmp_path / "bad"),
+                 "--workers", "2"]) == 2
+
+
 def test_normality_rejects_empty_sizes(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     for n, reps in ((100, 0), (100, -1), (0, 200)):

@@ -55,6 +55,23 @@ def test_beta_values(beta33):
         make_beta(3.0, 0.0)
 
 
+def test_survival_function_is_one_minus_cdf_without_cancellation(exp2, beta33, weibull1,
+                                                                weibull3):
+    xs = np.array([-1.0, 0.0, 0.05, 0.3, 0.7, 1.0, 2.5, 6.0])
+    for dist in (exp2, beta33, weibull1, weibull3):
+        assert np.allclose(dist.sf(xs), 1.0 - dist.cdf(xs), rtol=0.0, atol=1e-15)
+    # where 1 - cdf rounds to 0 the survival function keeps its digits
+    assert exp2.sf(20.0) == pytest.approx(math.exp(-40.0), rel=1e-15)
+    assert weibull1.sf(30.0) == pytest.approx(0.5 * math.exp(-30.0) + 0.5 * math.exp(-(7.5**4)),
+                                              rel=1e-14)
+    # Beta(3,3) is symmetric: 1 - F(1 - e) = F(e) = 10 e^3 - 15 e^4 + 6 e^5
+    eps = 1.0 - (1.0 - 1e-7)
+    assert 1.0 - beta33.cdf(1.0 - eps) == 0.0
+    assert beta33.sf(1.0 - eps) == pytest.approx(10 * eps**3 - 15 * eps**4 + 6 * eps**5,
+                                                  rel=1e-12)
+    assert exp2.sf(-1.0) == beta33.sf(-0.5) == weibull3.sf(0.0) == 1.0
+
+
 def test_sampling_determinism_and_sorting(weibull3):
     a = sample(weibull3, 12345, 500)
     b = sample(weibull3, 12345, 500)

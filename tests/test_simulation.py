@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothcdf import (
     ExperimentConfig,
@@ -17,6 +19,8 @@ from smoothcdf import (
     kernel_fit,
     ks_distance_normal,
     make_beta,
+    make_exponential,
+    make_weibull_mixture,
     mise_monte_carlo,
     models,
     normality_experiment,
@@ -243,14 +247,16 @@ def test_repetition_seed_stability():
 
 
 def _count_draws(monkeypatch):
+    # counts drawn samples through the per-row seam both models.sample and
+    # samples_matrix call: one uniforms fill per sample row
     calls = []
-    draw = models.sample
+    fill = models._uniforms
 
-    def counted(dist, seed, n):
+    def counted(seed, out):
         calls.append(seed)
-        return draw(dist, seed, n)
+        return fill(seed, out)
 
-    monkeypatch.setattr(models, "sample", counted)
+    monkeypatch.setattr(models, "_uniforms", counted)
     return calls
 
 
@@ -283,11 +289,55 @@ def test_samples_matrix_shares_one_read_only_draw(beta33, monkeypatch):
     assert samples_matrix(twin, 3, 6, 20).tobytes() == full.tobytes()
 
 
+_SAMPLED_MODELS = {
+    "exponential": make_exponential(2.0),
+    "weibull-1": make_weibull_mixture([[1.0, 1.0, 1.0]]),
+    "weibull-3": make_weibull_mixture([[0.35, 1.5, 1.5], [0.35, 4.5, 4.5], [0.3, 8.0, 8.0]]),
+    "beta": make_beta(3.0, 3.0),
+}
+
+
+def _stacked_rows(dist, seed, n_reps, n):
+    return np.array([models.sample(dist, repetition_seed(seed, i), n) for i in range(n_reps)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(_SAMPLED_MODELS)), seed=st.integers(0, 2**64 - 1),
+       n=st.integers(1, 60), workers=st.sampled_from([1, 2]),
+       offset=st.sampled_from([None, -1, 0, 1]))
+def test_samples_matrix_equals_the_stacked_rows_bitwise(kind, seed, n, workers, offset):
+    # chunked, fanned-out drawing gives every row's bits as drawn alone, at
+    # one repetition and at one chunk's rows, one fewer and one more
+    dist = _SAMPLED_MODELS[kind]
+    step = simulation._draw_chunk_rows(dist, n, workers)
+    n_reps = 1 if offset is None else step + offset
+    simulation._last_draw = None
+    drawn = samples_matrix(dist, seed, n_reps, n, workers)
+    assert drawn.shape == (n_reps, n)
+    assert drawn.tobytes() == _stacked_rows(dist, seed, n_reps, n).tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_SAMPLED_MODELS))
+def test_samples_matrix_draws_rows_larger_than_a_chunk(kind):
+    # one row's uniforms alone exceed the chunk budget: one row a chunk
+    dist = _SAMPLED_MODELS[kind]
+    n = 70_000
+    assert dist.uniforms_per_draw * n > estimators._ELEMENT_BUDGET // 4
+    assert simulation._draw_chunk_rows(dist, n, 1) == 1
+    want = _stacked_rows(dist, 11, 3, n).tobytes()
+    for workers in (1, 2):
+        simulation._last_draw = None
+        assert samples_matrix(dist, 11, 3, n, workers).tobytes() == want
+
+
 def test_samples_matrix_rejects_nonpositive_counts(beta33):
     samples_matrix(beta33, 3, 5, 20)
     for reps in (0, -1):  # -1 would otherwise slice the kept draw to four rows
         with pytest.raises(ValueError, match="n_reps must be >= 1"):
             samples_matrix(beta33, 3, reps, 20)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            samples_matrix(beta33, 3, 5, n)
 
 
 def test_estimators_on_one_seed_draw_once(exp2, beta33, monkeypatch):
@@ -319,16 +369,18 @@ def test_estimators_on_one_seed_draw_once(exp2, beta33, monkeypatch):
     assert len(calls) == 40
 
 
-def test_samples_matrix_keeps_one_matrix_alive(beta33):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_samples_matrix_keeps_one_matrix_alive(beta33, workers):
     # a new draw releases the kept one first, so two draws of different
-    # inputs back to back peak at one matrix, not two
+    # inputs back to back peak at one matrix, not two, chunks in flight
+    # on every worker included
     reps, n = 400, 500
     size = reps * n * 8
     tracemalloc.start()
     try:
-        samples_matrix(beta33, 1, reps, n)
+        samples_matrix(beta33, 1, reps, n, workers)
         tracemalloc.reset_peak()
-        samples_matrix(beta33, 2, reps, n)
+        samples_matrix(beta33, 2, reps, n, workers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -349,8 +401,12 @@ def test_shared_draws_are_identical_under_concurrent_clients(exp2):
     def rows(seed):  # many small requests, to crowd the lookup itself
         return samples_matrix(exp2, seed, 1 + seed % 3, 30)
 
+    def fanned(seed):  # chunks of one draw on more threads than cores
+        assert simulation._draw_chunk_rows(exp2, 30, 3) < 250
+        return samples_matrix(exp2, seed, 700, 30, workers=3)
+
     clients = [(normality, 1, 6), (sweep, 2, 6), (normality, 3, 6), (sweep, 4, 6),
-               (rows, 5, 300), (rows, 6, 300)]
+               (rows, 5, 300), (rows, 6, 300), (fanned, 7, 6)]
     serial = []
     for fn, seed, _ in clients:
         simulation._last_draw = None  # each reference from its own draw

@@ -222,6 +222,37 @@ def test_exact_bias_matches_mpmath(exp2):
         assert abs(bias / reference(m, x) - 1.0) <= 1e-7, (m, x)
 
 
+def test_exact_variance_matches_mpmath_at_the_rounding_floor(exp2):
+    # the variance sum_{k,l} F((k ^ l)/m) V_k V_l - S_m^2 as a 50-digit sum
+    # over all k; in double precision that difference read 0.0 at x=20
+    # (where F(x) is 1 - 4e-18) and lost 5e-10 relative at x=8
+    mpmath = pytest.importorskip("mpmath")
+
+    def reference(m, x):
+        with mpmath.workdps(50):
+            z = mpmath.mpf(m) * x
+            k_max = int(float(z) + 40.0 * math.sqrt(float(z)) + 100.0)
+            v = [mpmath.exp(-z)]
+            for k in range(k_max):
+                v.append(v[-1] * z / (k + 1))
+            f = [1 - mpmath.exp(-2 * mpmath.mpf(k) / m) for k in range(k_max + 1)]
+            s_m = mpmath.fsum(fk * vk for fk, vk in zip(f, v))
+            second, q = mpmath.mpf(0), mpmath.mpf(0)
+            for k in range(k_max, -1, -1):  # F(k ^ l) summed with Q_k = sum_{l >= k} V_l
+                q += v[k]
+                second += f[k] * v[k] * (2 * q - v[k])
+            return second - s_m**2
+
+    for x in (20.0, 8.0):
+        exact = reference(100, x)
+        for n in (1, 50):
+            got = szasz_exact_moments(exp2, 100, n, x).variance
+            assert got > 0.0
+            assert abs(got / (exact / n) - 1) <= 1e-11, (x, n, got, float(exact / n))
+        if x == 20.0:
+            assert float(exact) == pytest.approx(3.3448435180725885e-18, rel=1e-15)
+
+
 def test_exact_deficiency_local(exp2):
     n = 10**4
     # huge m: the smooth estimator is the step estimator plus nothing

@@ -66,7 +66,7 @@ from functools import cached_property
 import numpy as np
 from scipy import special as sp
 
-from .special import hermite_basis, poisson_log_pmf
+from .special import hermite_basis, hermite_values, poisson_log_pmf
 
 __all__ = [
     "QuantileBracketError",
@@ -282,13 +282,14 @@ def _bernstein_rows(samples, m, survival):
 
 def _hermite_coefficients(samples, scale, order_max):
     # a_hat_k = mean_i h_k(X_i / scale) for k = 0..order_max, one row per
-    # sample row.  hermite_basis holds the values and integrals of every
-    # order and five temporaries per point, so the rows go in chunks
+    # sample row.  hermite_values holds the values of every order and four
+    # temporaries per point (measured under tracemalloc), so the rows go in
+    # chunks
     def block(rows):
-        vals, _ = hermite_basis((rows / scale).ravel(), order_max)
+        vals = hermite_values((rows / scale).ravel(), order_max)
         return vals.reshape(order_max + 1, *rows.shape).mean(axis=2).T
 
-    return _in_chunks(block, samples, samples.shape[1] * (2 * order_max + 7))
+    return _in_chunks(block, samples, samples.shape[1] * (order_max + 5))
 
 
 class _Fitted:

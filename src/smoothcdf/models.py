@@ -5,11 +5,14 @@ derivative and quantile, and a sampler in two parts: a fixed count of
 uniforms per draw (1 for the exponential and beta models, 2 for the
 Weibull mixture, whose first n uniforms pick the components and whose next
 n invert them), and a pure elementwise inverse transform of an array of
-such uniforms.  ``sample`` is the one-row case: n draws' uniforms from a
-Philox counter-based stream keyed by the seed, inverted and sorted, so a
-(seed, n) pair fully determines the output on any platform.
-``simulation.samples_matrix`` applies the same two parts to chunks of
-rows, each row from its own seed, and gets the same bits.
+such uniforms.  The uniforms of a chunk of rows come from one Philox
+counter-based generator, re-keyed through its state for each row's seed,
+which gives the bits a fresh ``Philox(key=seed)`` would.  ``sample`` is
+the one-row case: n draws' uniforms from the stream keyed by the seed,
+inverted and sorted, so a (seed, n) pair fully determines the output on
+any platform.  ``simulation.samples_matrix`` applies the same fill and
+transform to chunks of rows, each row keyed by its own seed, and gets the
+same bits.
 """
 
 from __future__ import annotations
@@ -198,12 +201,16 @@ def make_weibull_mixture(spec):
         with np.errstate(divide="ignore"):
             qs = np.stack([b * (-np.log1p(-p)) ** (1.0 / a) for a, b in zip(shapes, scales)])
         lo, hi = qs.min(axis=0), qs.max(axis=0)
+        # p = 1 brackets at [inf, inf] and stays there: the stop test leaves
+        # such levels out, so they change neither the others' steps nor bits
+        finite = np.isfinite(hi)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             below = cdf(mid) < p
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
-            if np.max(hi - lo) < 1e-14 * max(1.0, float(np.max(hi))):
+            top = hi[finite]
+            if top.size == 0 or np.max(top - lo[finite]) < 1e-14 * max(1.0, float(np.max(top))):
                 break
         out = 0.5 * (lo + hi)
         return float(out[0]) if scalar else out
@@ -307,16 +314,29 @@ def sample(dist, seed, n):
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    values = dist._invert(_uniforms(seed, np.empty(dist.uniforms_per_draw * n)))
+    u = np.empty(dist.uniforms_per_draw * n)
+    _fill_uniforms(np.array([int(seed) & 0xFFFF_FFFF_FFFF_FFFF], dtype=np.uint64), u[None, :])
+    values = dist._invert(u)
     values.sort()
     return values
 
 
-def _uniforms(seed, out):
-    # fills out with the first out.size uniforms of the Philox stream keyed
-    # by seed (modulo 2**64); one call per drawn sample
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)))
-    return rng.random(out=out)
+def _fill_uniforms(seeds, out):
+    # fills row i of out with the first uniforms of the Philox stream keyed
+    # by seeds[i]: one generator re-keyed per row through its state (key
+    # [seed, 0], zero counter, empty buffer), the state Philox(key=seed)
+    # starts from, so each row has the bits of a fresh generator's
+    bits = np.random.Philox(key=0)
+    rng = np.random.Generator(bits)
+    key = np.zeros(2, dtype=np.uint64)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for seed, row in zip(seeds, out):
+        key[0] = seed
+        bits.state = state
+        rng.random(out=row)
 
 
 def distribution_from_spec(spec):

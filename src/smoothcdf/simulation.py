@@ -10,10 +10,11 @@ same per-repetition samples across the whole parameter grid (common
 random numbers), and every repetition's seed is derived from
 (master_seed, repetition_index), so results are independent of scheduling.
 
-Sample matrices are drawn in chunks of rows: each row's uniforms come
-from the Philox stream keyed by its repetition seed, the model's inverse
-transform takes the whole chunk in one call, and the rows are sorted in
-place.  The chunks fan out over the caller's ``workers`` threads and
+Sample matrices are drawn in chunks of rows: the chunk's repetition
+seeds come from one vectorised pass of NumPy's SeedSequence mix, each
+row's uniforms from one Philox generator re-keyed for that row's seed,
+the model's inverse transform takes the whole chunk in one call, and the
+rows are sorted in place.  The chunks fan out over the caller's ``workers`` threads and
 together hold at most a quarter of ``_ELEMENT_BUDGET`` elements beside
 the matrix; every row equals ``models.sample`` at its seed bit for bit.
 Estimators compared on the same (model, seed, n) share one draw as well:
@@ -27,9 +28,10 @@ builds once what the columns share (Hermite's coefficients and basis
 integrals), fans the columns out over ``workers`` threads, and each column
 takes its repetitions in bounded chunks.  Kernel, Bernstein and Hermite
 columns apply the row-axis formulas of ``estimators``; the Szasz column is
-this module's Poisson series form, banded by theory.truncation_floor and
-theory.truncation_index, its Poisson weights built once per column, and
-tested against the fitted incomplete-gamma form.  The normality experiment
+this module's Poisson series form over blocks of 64 quadrature nodes,
+each banded by theory.truncation_floor and theory.truncation_index, its
+Poisson weights built in place once per column, and tested against the
+fitted incomplete-gamma form.  The normality experiment
 reads Fhat(x) of every repetition through ``estimators.evaluate_rows``, the
 same row-axis formulas over chunks of repetitions, with no fitted object
 per row.
@@ -70,7 +72,12 @@ __all__ = [
     "ks_distance_normal",
 ]
 
-_NODE_BLOCK = 32  # quadrature nodes sharing one Poisson band in the Szasz sweep
+_NODE_BLOCK = 64  # quadrature nodes sharing one Poisson band in the Szasz sweep
+# the seed_seq_fe constants of numpy.random.SeedSequence
+_MASK32 = 0xFFFF_FFFF
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 _last_draw = None  # (dist, seed, n, rows) of the most recent samples_matrix draw
 
@@ -129,18 +136,55 @@ class NormalityResult:
 
 
 def repetition_seed(master_seed, index):
-    """Stable 64-bit seed for one repetition of one experiment."""
-    ss = np.random.SeedSequence((int(master_seed) & 0xFFFFFFFFFFFFFFFF, int(index)))
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Stable 64-bit seed for one repetition of one experiment, 0 <= index < 2**32."""
+    index = int(index)
+    if not 0 <= index < 2**32:
+        raise ValueError("repetition index must lie in [0, 2**32)")
+    return int(_repetition_seeds(master_seed, index))
+
+
+def _repetition_seeds(master_seed, index):
+    # NumPy's SeedSequence((master_seed mod 2**64, i)).generate_state(1,
+    # np.uint64) for an int index i < 2**32 or a uint32 array of them: its
+    # seed_seq_fe mix (O'Neill) of a four-word pool, the master's one or two
+    # 32-bit words and i padded with zeros, written over ints or arrays alike
+    seed = int(master_seed) & 0xFFFF_FFFF_FFFF_FFFF
+    words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else []) + [index]
+    words += [0] * (4 - len(words))
+    hash_const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _HASH_MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = (_MIX_MULT_L * pool[dst] & _MASK32) \
+                    - (_MIX_MULT_R * hashmix(pool[src]) & _MASK32) & _MASK32
+                pool[dst] = mixed ^ mixed >> 16
+    # generate_state: one output word per pool word, low word first
+    hash_const, state = _HASH_INIT_B, []
+    for word in pool[:2]:
+        word = word ^ hash_const
+        hash_const = hash_const * _HASH_MULT_B & _MASK32
+        word = word * hash_const & _MASK32
+        state.append(np.asarray(word ^ word >> 16, dtype=np.uint64))
+    return state[0] | state[1] << np.uint64(32)
 
 
 def samples_matrix(dist, master_seed, n_reps, n, workers=1):
     """n_reps independent sorted samples of size n, one per row, read-only.
 
     Row i is ``models.sample(dist, repetition_seed(master_seed, i), n)``,
-    bit for bit.  The rows are drawn in chunks: each row's uniforms come
-    from its own Philox stream, the model's inverse transform takes the
-    whole chunk in one call, and the rows are sorted in place.  The chunks
+    bit for bit.  The rows are drawn in chunks: the chunk's seeds are
+    computed at once, each row's uniforms come from its own Philox stream
+    (one generator re-keyed row by row), the model's inverse transform
+    takes the whole chunk in one call, and the rows are sorted in place.  The chunks
     fan out over ``workers`` threads; those in flight hold at most a
     quarter of ``_ELEMENT_BUDGET`` elements together, the model's
     ``invert_width`` counting the uniforms and the transform's temporaries
@@ -174,8 +218,8 @@ def samples_matrix(dist, master_seed, n_reps, n, workers=1):
     def draw(start):
         rows = out[start:start + step]
         u = np.empty((rows.shape[0], dist.uniforms_per_draw * n))
-        for i, row in enumerate(u, start):
-            models._uniforms(repetition_seed(seed, i), row)
+        models._fill_uniforms(
+            _repetition_seeds(seed, np.arange(start, start + len(u), dtype=np.uint32)), u)
         rows[...] = dist._invert(u)
         rows.sort(axis=1)
 
@@ -331,7 +375,11 @@ def _ise_szasz(samples, param, u, w, x_nodes):
     def band_weights(cols):
         lo = truncation_floor(z[cols][0])
         band = slice(lo, max(lo, min(truncation_index(z[cols][-1]), c_max) + 1))
-        return band, np.exp(k[band] * log_z[cols] - z[cols] - log_fact[band])
+        # k log z - z - log k!, built in one buffer
+        e = k[band] * log_z[cols]
+        e -= z[cols]
+        e -= log_fact[band]
+        return band, np.exp(e, out=e)
 
     def fhat_rows(rows):
         cum = _row_bincount(_szasz_orders(rows, m), c_max)

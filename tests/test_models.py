@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -146,3 +147,16 @@ def test_moments_match_samples(weibull1, weibull3):
         s = sample(dist, 4242, 10**6)
         assert abs(s.mean() - dist.mean) <= 4.0 * dist.sd / 1000.0
         assert abs(s.std() - dist.sd) <= 0.01 * dist.sd
+
+
+def test_mixture_quantile_at_one_leaves_the_other_levels_alone(weibull3):
+    # a level of 1 brackets at [inf, inf]; the stop test leaves it out, so
+    # the other levels take the steps, and get the bits, they take without it
+    p = np.linspace(0.001, 0.999, 512)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = weibull3.quantile(p)
+        with_one = weibull3.quantile(np.append(p, 1.0))
+        assert weibull3.quantile(1.0) == math.inf
+    assert with_one[:-1].tobytes() == alone.tobytes()
+    assert with_one[-1] == math.inf

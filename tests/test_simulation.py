@@ -244,19 +244,45 @@ def test_repetition_seed_stability():
     assert repetition_seed(1, 0) == repetition_seed(1, 0)
     assert repetition_seed(1, 0) != repetition_seed(1, 1)
     assert repetition_seed(2, 0) != repetition_seed(1, 0)
+    for index in (-1, 2**32):
+        with pytest.raises(ValueError, match="repetition index"):
+            repetition_seed(1, index)
+
+
+def _seed_sequence(seed, i):
+    return np.random.SeedSequence((seed & 0xFFFF_FFFF_FFFF_FFFF, i)).generate_state(1, np.uint64)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                      st.integers(-2**70, 2**70)),
+       start=st.one_of(st.integers(0, 3000), st.integers(2**32 - 3000, 2**32 - 1)),
+       length=st.integers(1, 400), step=st.integers(1, 64))
+def test_chunk_seeds_equal_numpy_seed_sequence(seed, start, length, step):
+    # each chunk's seeds at once, and each seed alone, are SeedSequence's,
+    # for masters of one and two 32-bit words; the rows are cut into chunks
+    # at the multiples of step, as a draw cuts them
+    stop = min(start + length, 2**32)
+    want = np.array([_seed_sequence(seed, i) for i in range(start, stop)], dtype=np.uint64)
+    cuts = [start, *range(start - start % step + step, stop, step), stop]
+    chunks = [simulation._repetition_seeds(seed, np.arange(a, b, dtype=np.uint32))
+              for a, b in zip(cuts, cuts[1:])]
+    assert np.concatenate(chunks).tobytes() == want.tobytes()
+    for i in (start, stop - 1):
+        assert repetition_seed(seed, i) == int(want[i - start])
 
 
 def _count_draws(monkeypatch):
-    # counts drawn samples through the per-row seam both models.sample and
-    # samples_matrix call: one uniforms fill per sample row
+    # counts drawn sample rows through the chunk-fill seam both
+    # models.sample and samples_matrix call: one seed per row
     calls = []
-    fill = models._uniforms
+    fill = models._fill_uniforms
 
-    def counted(seed, out):
-        calls.append(seed)
-        return fill(seed, out)
+    def counted(seeds, out):
+        calls.extend(seeds)
+        return fill(seeds, out)
 
-    monkeypatch.setattr(models, "_uniforms", counted)
+    monkeypatch.setattr(models, "_fill_uniforms", counted)
     return calls
 
 
@@ -298,7 +324,13 @@ _SAMPLED_MODELS = {
 
 
 def _stacked_rows(dist, seed, n_reps, n):
-    return np.array([models.sample(dist, repetition_seed(seed, i), n) for i in range(n_reps)])
+    # each row drawn alone, without the chunk seeding and re-keying: its own
+    # SeedSequence and a fresh Philox generator, then the model's transform
+    rows = []
+    for i in range(n_reps):
+        rng = np.random.Generator(np.random.Philox(key=_seed_sequence(seed, i)))
+        rows.append(np.sort(dist._invert(rng.random(dist.uniforms_per_draw * n))))
+    return np.array(rows)
 
 
 @settings(max_examples=40, deadline=None)
@@ -314,7 +346,9 @@ def test_samples_matrix_equals_the_stacked_rows_bitwise(kind, seed, n, workers, 
     simulation._last_draw = None
     drawn = samples_matrix(dist, seed, n_reps, n, workers)
     assert drawn.shape == (n_reps, n)
-    assert drawn.tobytes() == _stacked_rows(dist, seed, n_reps, n).tobytes()
+    want = _stacked_rows(dist, seed, n_reps, n)
+    assert drawn.tobytes() == want.tobytes()
+    assert models.sample(dist, repetition_seed(seed, n_reps - 1), n).tobytes() == want[-1].tobytes()
 
 
 @pytest.mark.parametrize("kind", sorted(_SAMPLED_MODELS))

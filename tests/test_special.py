@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from smoothcdf.special import hermite_basis, poisson_log_pmf, reg_lower_gamma
+from smoothcdf.special import hermite_basis, hermite_values, poisson_log_pmf, reg_lower_gamma
 
 
 def test_reg_lower_gamma_closed_forms():
@@ -56,6 +56,7 @@ def test_hermite_values_at_zero():
 def test_hermite_recurrence_matches_direct_polynomials():
     xs = np.linspace(-4.0, 6.0, 41)
     values, _ = hermite_basis(xs, 10)
+    assert values.tobytes() == hermite_values(xs, 10).tobytes()
     for k in range(11):
         direct = _hermite_direct(xs, k)
         assert np.allclose(values[k], direct, rtol=1e-8, atol=1e-12)

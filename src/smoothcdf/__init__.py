@@ -52,7 +52,6 @@ from .simulation import (
     normality_experiment,
     parameter_sweep,
 )
-from .special import reg_lower_gamma
 from .theory import (
     ExactMoments,
     L_m,
@@ -63,7 +62,6 @@ from .theory import (
     poisson_weights,
     run_theory_checks,
     szasz_exact_moments,
-    szasz_operator,
     weighted_L_integral,
 )
 

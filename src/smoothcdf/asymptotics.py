@@ -109,6 +109,8 @@ def m_opt_mse(coeffs, n):
     sigma2/n - (3/4) n^(-4/3) [VS^4 / (4 bS^2)]^(1/3).
     """
     n = int(n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if coeffs.bS == 0.0 or coeffs.VS == 0.0:
         raise ValueError("degenerate point: requires f(x) != 0 and f'(x) != 0")
     m_opt = n ** (2.0 / 3.0) * (4.0 * coeffs.bS**2 / coeffs.VS) ** (2.0 / 3.0)
@@ -117,8 +119,8 @@ def m_opt_mse(coeffs, n):
     return MseOptimum(m_opt, mse)
 
 
-def mise_constants(dist, a, rel_tol=1e-10):
-    """Weighted integrals C1, C2, C3 by adaptive quadrature.
+def mise_constants(dist, a):
+    """Weighted integrals C1, C2, C3 by adaptive quadrature to 1e-10 relative.
 
     The weight is exp(-a x) f(x) with a > 0.  a = 0 is accepted for C1
     only (it equals 1/6 for every continuous model); C2 and C3 are then
@@ -144,13 +146,13 @@ def mise_constants(dist, a, rel_tol=1e-10):
         return (0.5 * np.asarray(x, dtype=float) * dist.pdf_prime(x)) ** 2
 
     c1, e1 = integrate.quad(lambda t: sigma2(t) * weight(t), 0.0, upper,
-                            epsabs=0.0, epsrel=rel_tol, limit=200)
+                            epsabs=0.0, epsrel=1e-10, limit=200)
     if a == 0.0:
         return MiseConstants(a, c1, math.nan, math.nan, e1)
     c2, e2 = integrate.quad(lambda t: vS(t) * weight(t), 0.0, upper,
-                            epsabs=0.0, epsrel=rel_tol, limit=200)
+                            epsabs=0.0, epsrel=1e-10, limit=200)
     c3, e3 = integrate.quad(lambda t: b2(t) * weight(t), 0.0, upper,
-                            epsabs=0.0, epsrel=rel_tol, limit=200)
+                            epsabs=0.0, epsrel=1e-10, limit=200)
     # outside [0, upper] everything is bounded by the model tail mass
     tail = (1.0 - float(dist.cdf(upper))) * math.exp(-a * upper)
     return MiseConstants(a, c1, c2, c3, e1 + e2 + e3 + tail)
@@ -159,6 +161,8 @@ def mise_constants(dist, a, rel_tol=1e-10):
 def m_opt_mise(consts, n):
     """Order minimizing the integrated expansion, with the attained value."""
     n = int(n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if not (consts.C2 > 0.0 and consts.C3 > 0.0):
         raise ValueError("degenerate constants: requires C2 > 0 and C3 > 0")
     m_opt = n ** (2.0 / 3.0) * (4.0 * consts.C3 / consts.C2) ** (2.0 / 3.0)

@@ -118,8 +118,6 @@ def cmd_estimate(args):
         estimates = [float(fit.evaluate(float(x))) for x in points]
     except KeyError as exc:
         raise ConfigError(f"estimator spec is missing {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
     rows = ["x,F_hat"] + [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(points, estimates)]
     out_dir = _ensure_dir(args.out_dir)
@@ -192,8 +190,6 @@ def cmd_normality(args):
                                       workers=args.workers)
     except KeyError as exc:
         raise ConfigError(f"estimator spec is missing {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
     out_dir = _ensure_dir(args.out_dir)
     csv_path = out_dir / "normality_values.csv"
@@ -217,7 +213,7 @@ def cmd_asymptotics(args):
     try:
         dist_spec = json.loads(args.dist)
         dist = distribution_from_spec(dist_spec)
-    except (json.JSONDecodeError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"bad --dist spec: {exc}") from exc
     x = float(args.x)
     n = int(args.n)
@@ -337,7 +333,7 @@ def main(argv=None):
                 return 2
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError too
         print(f"smoothcdf: {exc}", file=sys.stderr)
         return 2
 

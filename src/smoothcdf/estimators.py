@@ -9,7 +9,10 @@ Hermite formulas are functions over a leading row axis of samples
 sweeps in ``simulation`` pass chunks of repetitions.  ``evaluate_rows``
 reads every row's estimate at one point through these formulas and
 ``_szasz_rows`` without building a fitted object per row; it and
-``fit_from_spec`` share one spec parser and the parameter checks.  The
+``fit_from_spec`` share one spec parser.  ``_KINDS`` holds, per kind, the
+fitted class (whose ``_lower`` and ``_upper`` are the family's domain), the
+spec key of its parameter and that parameter's check; the spec parser and
+``simulation``'s sweep config read it.  The
 smooth half-line estimator is evaluated through its finite incomplete-gamma
 representation: with c_i = max(1, ceil(m X_i)),
 
@@ -377,11 +380,6 @@ class SzaszEstimator(_Fitted):
     kind: str = field(default="szasz", init=False)
     _lower = 0.0
 
-    @property
-    def gamma_shapes(self):
-        """c_i = max(1, ceil(m X_i)), one per observation."""
-        return np.repeat(self.orders, self.counts)
-
     def _per_observation(self, table):
         # one row per observation from one row per distinct order, then the
         # mean over observations; a counts-weighted sum would round differently
@@ -447,16 +445,14 @@ class HermiteHalfEstimator(_Fitted):
     """Truncated Hermite-series density estimate integrated from 0.
 
     Not a proper CDF: the truncation keeps the limit at infinity away from
-    one and the curve need not be monotone.  ``clip`` restricts evaluations
-    to [0, 1] for consumers that need a distribution function; MISE
-    experiments use the raw curve.
+    one and the curve need not be monotone.  Evaluations return the raw
+    curve, which is what the MISE experiments integrate.
     """
 
     sample: np.ndarray
     order_max: int
     coef: np.ndarray  # a_hat_k = mean of h_k at the (rescaled) observations
     scale: float = 1.0
-    clip: bool = False
     kind: str = field(default="hermite_half", init=False)
     _lower = 0.0
 
@@ -465,8 +461,7 @@ class HermiteHalfEstimator(_Fitted):
         # one dot product per contiguous row of integrals, so a point's value
         # does not depend on the other points; coef @ integrals is a ddot at
         # one point and a gemv at several, which round differently
-        out = np.vecdot(np.ascontiguousarray(integrals.T), self.coef)
-        return np.clip(out, 0.0, 1.0) if self.clip else out
+        return np.vecdot(np.ascontiguousarray(integrals.T), self.coef)
 
     @cached_property
     def _scan(self):
@@ -528,12 +523,12 @@ def kernel_fit(values, h):
     return KernelCDF(_as_sample(values, lower=None), _check_bandwidth(h))
 
 
-def hermite_half_fit(values, order_max, clip=False):
+def hermite_half_fit(values, order_max):
     """Fit the half-line Hermite estimator with N + 1 series terms."""
-    return hermite_half_standardized_fit(values, order_max, None, 1.0, clip)
+    return hermite_half_standardized_fit(values, order_max, None, 1.0)
 
 
-def hermite_half_standardized_fit(values, order_max, mu, sigma, clip=False):
+def hermite_half_standardized_fit(values, order_max, mu, sigma):
     """Hermite estimator fitted to scale-standardized data z = x / sigma.
 
     Experimental: only the known true scale is used (a location shift would
@@ -546,34 +541,27 @@ def hermite_half_standardized_fit(values, order_max, mu, sigma, clip=False):
     order_max = _check_order_max(order_max)
     x = _as_sample(values)
     coef = _hermite_coefficients(x[None, :], sigma, order_max)[0]
-    return HermiteHalfEstimator(x, order_max, coef, scale=sigma, clip=clip)
-
-
-KINDS = ("edf", "szasz", "bernstein", "kernel", "hermite_half")  # the spec kinds
-_FITTED = {cls.kind: cls for cls in (EmpiricalCDF, SzaszEstimator, BernsteinEstimator,
-                                     KernelCDF, HermiteHalfEstimator)}
+    return HermiteHalfEstimator(x, order_max, coef, scale=sigma)
 
 
 def _parse_spec(spec, dist=None):
     # an estimator spec's kind and its fit's checked arguments after the
-    # sample: (), (m,), (h,) or (N, mu, sigma, clip) for the standardized fit
+    # sample: (), (m,), (h,) or (N, mu, sigma) for the standardized fit
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("estimator spec must be a dict with a 'kind' key")
     kind = spec["kind"]
-    if kind == "edf":
-        return kind, ()
-    if kind in ("szasz", "bernstein"):
-        return kind, (_check_order(spec["m"]),)
-    if kind == "kernel":
-        return kind, (_check_bandwidth(spec["h"]),)
+    if kind not in KINDS:  # the tuple, so an unhashable kind is no TypeError
+        raise ValueError(f"unknown estimator kind: {kind!r}")
+    _, key, check = _KINDS[kind]
+    args = () if key is None else (check(spec[key]),)
     if kind == "hermite_half":
-        order_max, sigma = _check_order_max(spec["N"]), 1.0
+        sigma = 1.0
         if spec.get("standardize", False):
             sigma = spec.get("sigma", dist.sd if dist is not None else None)
             if sigma is None:
                 raise ValueError("standardized hermite fit needs sigma (or a model)")
-        return kind, (order_max, None, _check_scale(sigma), spec.get("clip", False))
-    raise ValueError(f"unknown estimator kind: {kind!r}")
+        args += (None, _check_scale(sigma))
+    return kind, args
 
 
 def fit_from_spec(spec, values, dist=None):
@@ -601,7 +589,7 @@ def evaluate_rows(spec, samples, x, dist=None):
     occupied ones, which can round differently in the last bit.
     """
     kind, args = _parse_spec(spec, dist)
-    cls = _FITTED[kind]
+    cls = _KINDS[kind][0]
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2:
         raise ValueError("samples must be a matrix with one sample per row")
@@ -610,13 +598,12 @@ def evaluate_rows(spec, samples, x, dist=None):
     _check_points(point, cls._lower, cls._upper)
     n = samples.shape[1]
     if kind == "hermite_half":
-        order_max, _, scale, clip = args
+        order_max, _, scale = args
         _, integrals = hermite_basis(point / scale, order_max)
         # one dot product per contiguous coefficient row, the form the fit's
         # _cdf takes per point; a matrix product would round differently
         coefs = np.ascontiguousarray(_hermite_coefficients(samples, scale, order_max))
-        out = np.vecdot(coefs, integrals[:, 0])
-        return np.clip(out, 0.0, 1.0) if clip else out
+        return np.vecdot(coefs, integrals[:, 0])
     if kind == "edf":
         rows, width = (lambda chunk: (chunk <= point).sum(axis=1) / n), n
     elif kind == "szasz":
@@ -656,3 +643,14 @@ def _check_scale(sigma):
     if not 0.0 < float(sigma) < math.inf:  # NaN too
         raise ValueError("sigma must be positive and finite")
     return float(sigma)
+
+
+# kind: (fitted class, spec key of its parameter, the parameter's check)
+_KINDS = {
+    "edf": (EmpiricalCDF, None, float),
+    "szasz": (SzaszEstimator, "m", _check_order),
+    "bernstein": (BernsteinEstimator, "m", _check_order),
+    "kernel": (KernelCDF, "h", _check_bandwidth),
+    "hermite_half": (HermiteHalfEstimator, "N", _check_order_max),
+}
+KINDS = tuple(_KINDS)  # the spec kinds

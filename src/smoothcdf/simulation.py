@@ -49,9 +49,9 @@ from scipy import special as sp
 
 from . import estimators, models
 from .estimators import (
-    KINDS, EmpiricalCDF, _bernstein_rows, _bernstein_survival, _check_bandwidth,
-    _check_order, _check_order_max, _hermite_coefficients, _in_chunks, _kernel_rows,
-    _row_bincount, _szasz_orders, evaluate_rows,
+    _KINDS, KINDS, EmpiricalCDF, _bernstein_rows, _bernstein_survival, _check_sample,
+    _hermite_coefficients, _in_chunks, _kernel_rows, _row_bincount, _szasz_orders,
+    evaluate_rows,
 )
 # not called here: benchmarks/tracing.py times per-row fits by wrapping
 # simulation.fit_from_spec, so the name stays importable from this module
@@ -103,10 +103,8 @@ class ExperimentConfig:
             raise ValueError("param_grid must not be empty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("param_grid must be strictly increasing")
-        check = {"szasz": _check_order, "bernstein": _check_order, "kernel": _check_bandwidth,
-                 "hermite_half": _check_order_max}.get(self.estimator_family, float)
-        for p in grid:  # the fit's own check of its parameter; edf takes none
-            check(p)
+        for p in grid:  # the fit's own check of its parameter
+            _KINDS[self.estimator_family][2](p)
         object.__setattr__(self, "param_grid", grid)
         if self.n < 1 or self.M < 1:
             raise ValueError("n and M must be >= 1")
@@ -321,6 +319,8 @@ def _ise_matrix(config, workers=1):
     samples = samples_matrix(dist, config.master_seed, config.M, config.n, workers)
     u, w = _unit_nodes(config.quadrature_nodes)
     family = config.estimator_family
+    cls = _KINDS[family][0]
+    _check_sample(samples, cls._lower, cls._upper, what=f"{family} sweep sample")
     if family == "edf":
         u_mat = np.asarray(dist.cdf(samples), dtype=float)
         col = _edf_ise_from_u(u_mat)
@@ -332,8 +332,6 @@ def _ise_matrix(config, workers=1):
         n_max = int(config.param_grid[-1])
         rows = _hermite_coefficients(samples, scale, n_max)
         _, nodes = hermite_basis(nodes / scale, n_max)
-    if family == "bernstein" and (samples.max() > 1.0 or samples.min() < 0.0):
-        raise ValueError("bernstein sweeps need observations in [0, 1]")
     column = {"szasz": _ise_szasz, "bernstein": _ise_bernstein, "kernel": _ise_kernel,
               "hermite_half": _ise_hermite}[family]
     return np.stack(_thread_map(lambda param: column(rows, param, u, w, nodes),

@@ -1,11 +1,10 @@
 """Special functions shared by the estimators and the theory module.
 
-The regularized lower incomplete gamma function is a validating wrapper
-around scipy.special, and the Poisson log-pmf handles the lam = 0 case.
-The normalized Hermite functions and their cumulative integrals are
-computed here with stable three-term recurrences; per-call quadrature would
-be O(N) integrals instead of one O(N) ladder.  ``hermite_values`` runs the
-values recurrence alone, which is all the Hermite coefficients need, and
+The Poisson log-pmf handles the lam = 0 case.  The normalized Hermite
+functions and their cumulative integrals are computed here with stable
+three-term recurrences; per-call quadrature would be O(N) integrals
+instead of one O(N) ladder.  ``hermite_values`` runs the values
+recurrence alone, which is all the Hermite coefficients need, and
 ``hermite_basis`` runs the integral ladder on top of it.
 """
 
@@ -15,7 +14,6 @@ import numpy as np
 from scipy import special as sp
 
 __all__ = [
-    "reg_lower_gamma",
     "poisson_log_pmf",
     "hermite_values",
     "hermite_basis",
@@ -24,22 +22,6 @@ __all__ = [
 # h_0(0) = pi**(-1/4); shows up in every Hermite seed below.
 _PI_M14 = np.pi ** (-0.25)
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
-
-
-def reg_lower_gamma(s, x):
-    """Regularized lower incomplete gamma P(s, x) = gamma(s, x) / Gamma(s).
-
-    For integer s = k this equals the Poisson tail Pr(Poisson(x) >= k),
-    which is how the smooth CDF estimator consumes it.
-    """
-    s = np.asarray(s, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.any(~(s > 0.0)):
-        raise ValueError("reg_lower_gamma requires s > 0")
-    if np.any(~(x >= 0.0)):
-        raise ValueError("reg_lower_gamma requires x >= 0")
-    out = sp.gammainc(s, x)
-    return float(out) if out.ndim == 0 else out
 
 
 def poisson_log_pmf(k, lam):

@@ -14,6 +14,8 @@ below the floor the Poisson mass is under 1e-30 too, and the suffix sums
 Q_k of the kept k are the same as over the full range.  At z = 5e5 that
 is about 17,000 terms instead of 500,000.  ``poisson_weights`` pads the
 band with zeros below the floor, so its vector still runs over 0..K.
+Every order m is checked as the fits check it (``estimators._check_order``),
+so 2.5, 0 and NaN raise.
 """
 
 from __future__ import annotations
@@ -22,14 +24,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as sp
 
-from .special import poisson_log_pmf, reg_lower_gamma
+from .estimators import _check_order
+from .special import poisson_log_pmf
 
 __all__ = [
     "PoissonWeightVector",
     "ExactMoments",
     "poisson_weights",
-    "szasz_operator",
     "L_m",
     "weighted_L_integral",
     "R_tilde_1",
@@ -90,10 +93,8 @@ def _band(m, x):
     truncation_index(mx) (just k = 0 at x = 0), their weights V_k and the
     analytic tail P(Poisson(mx) > k[-1]).
     """
-    m = int(m)
+    m = _check_order(m)
     x = float(x)
-    if m < 1:
-        raise ValueError("m must be a positive integer")
     if x < 0.0:
         raise ValueError("x must be >= 0")
     z = m * x
@@ -101,7 +102,7 @@ def _band(m, x):
         return np.zeros(1), np.ones(1), 0.0
     k_max = truncation_index(z)
     k = np.arange(truncation_floor(z), k_max + 1, dtype=float)
-    return k, np.exp(poisson_log_pmf(k, z)), float(reg_lower_gamma(k_max + 1.0, z))
+    return k, np.exp(poisson_log_pmf(k, z)), float(sp.gammainc(k_max + 1.0, z))
 
 
 def poisson_weights(m, x):
@@ -120,12 +121,6 @@ def _weights_and_suffix(m, x):
     return k, v, q, tail
 
 
-def szasz_operator(dist, m, x):
-    """The smoothing operator applied to the true CDF: sum F(k/m) V_k(x)."""
-    k, v, _ = _band(m, x)
-    return float(np.sum(dist.cdf(k / int(m)) * v))
-
-
 def L_m(m, x):
     """Sum of squared Poisson weights; the variance-reduction kernel."""
     _, v, _ = _band(m, x)
@@ -141,10 +136,8 @@ def weighted_L_integral(m, a, moment=0):
     moment 0 and sqrt(m) (a + 2m) / (a (a + 4m))^(3/2) for moment 1.
     Returns (termwise, closed_form, difference).
     """
-    m = int(m)
+    m = _check_order(m)
     a = float(a)
-    if m < 1:
-        raise ValueError("m must be a positive integer")
     if a <= 0.0:
         raise ValueError("a must be positive")
     if moment not in (0, 1):
@@ -189,7 +182,7 @@ def weighted_L_integral(m, a, moment=0):
 
 def R_tilde_1(m, x):
     """sqrt(m) * sum_{k,l} ((k ^ l)/m - x) V_k V_l via the min identity."""
-    m = int(m)
+    m = _check_order(m)
     x = float(x)
     if x <= 0.0:
         raise ValueError("x must be positive")
@@ -199,7 +192,7 @@ def R_tilde_1(m, x):
 
 def R_j(m, x, j):
     """m^(-j) * sum over k < l of (k - m x)^j V_k V_l."""
-    m = int(m)
+    m = _check_order(m)
     x = float(x)
     if j not in (0, 1, 2):
         raise ValueError("j must be 0, 1 or 2")
@@ -224,7 +217,7 @@ def szasz_exact_moments(dist, m, n, x):
     F(x) is within rounding of 1; the estimator variance is that divided
     by n.
     """
-    m = int(m)
+    m = _check_order(m)
     n = int(n)
     x = float(x)
     if x <= 0.0:

@@ -211,6 +211,29 @@ def test_asymptotics_bad_spec(tmp_path):
                  "--x", "1", "--n", "10", "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["asymptotics", "--dist", '{"kind":"exponential","rate":2}', "--x", "1", "--n", "0"],
+    ["asymptotics", "--dist", '{"kind":"exponential","rate":2}', "--x", "1", "--n", "10",
+     "--a", "-1"],
+    ["asymptotics", "--dist", '{"kind":"exponential","rate":2}', "--x", "1", "--n", "10",
+     "--a", "0"],
+    ["asymptotics", "--dist", '{"kind":"exponential"}', "--x", "1", "--n", "10"],
+    ["sweep", "--config", None],
+], ids=["n=0", "a<0", "a=0", "no rate", "bernstein on the half line"])
+def test_invalid_input_exits_2_with_one_message(tmp_path, capsys, argv):
+    # each of these ended in a traceback with exit code 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "dist": {"kind": "exponential", "rate": 2}, "estimator_family": "bernstein",
+        "param_grid": [4, 9], "n": 20, "M": 5,
+    }), encoding="utf-8")
+    argv = [str(cfg) if arg is None else arg for arg in argv]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("smoothcdf: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 def test_theory_check_command(tmp_path, capsys):
     assert main(["theory-check", "--level", "fast", "--out-dir", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "theory_check.json").read_text())

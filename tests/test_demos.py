@@ -17,6 +17,8 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
                            "Kolmogorov-Smirnov distance to the reference normal"]),
     ("fit_and_compare.py", ["sample of n=50 from", "estimates of F(x):", "median estimates",
                             "integrated squared error against the true model:"]),
+    ("asymptotics_tour.py", ["exact local deficiency at n=500"]),
+    ("theory_suite.py", ["overall: all passed"]),
 ])
 def test_demo_runs(script, headers, capsys):
     runpy.run_path(str(DEMOS / script), run_name="__main__")

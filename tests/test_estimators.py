@@ -20,7 +20,7 @@ from smoothcdf import (
     kernel_fit,
     sample,
     szasz_fit,
-    szasz_operator,
+    szasz_exact_moments,
 )
 from smoothcdf.estimators import (
     KINDS,
@@ -80,12 +80,17 @@ def test_sample_order_invariance():
                           bernstein_fit(rev, 6).evaluate(xs))
 
 
+def _shapes(fit):
+    # c_i = max(1, ceil(m X_i)), one per observation
+    return np.repeat(fit.orders, fit.counts)
+
+
 def test_szasz_fit_precomputed_orders():
-    assert list(szasz_fit([1.0], 1).gamma_shapes) == [1]
-    assert list(szasz_fit([0.25, 0.75], 4).gamma_shapes) == [1, 3]
-    assert list(szasz_fit([0.5], 2).gamma_shapes) == [1]
+    assert list(_shapes(szasz_fit([1.0], 1))) == [1]
+    assert list(_shapes(szasz_fit([0.25, 0.75], 4))) == [1, 3]
+    assert list(_shapes(szasz_fit([0.5], 2))) == [1]
     # observation at zero resolves to the smallest well-defined order
-    assert list(szasz_fit([0.0], 10).gamma_shapes) == [1]
+    assert list(_shapes(szasz_fit([0.0], 10))) == [1]
     with pytest.raises(ValueError):
         szasz_fit([-0.1, 1.0], 5)
     with pytest.raises(ValueError):
@@ -98,7 +103,7 @@ def test_szasz_fit_rejects_orders_beyond_exact_integers():
         szasz_fit([1e19], 1)
     with pytest.raises(ValueError, match="too large"):
         szasz_fit([1.0, 1e15], 10_000)
-    assert szasz_fit([2.0 ** 52], 1).gamma_shapes[0] == 2 ** 52
+    assert _shapes(szasz_fit([2.0 ** 52], 1))[0] == 2 ** 52
 
 
 class _PerObservationSzasz(SzaszEstimator):
@@ -132,7 +137,7 @@ def test_szasz_fit_equals_the_per_observation_form_bitwise(exp2):
     for values, m in cases:
         fit = szasz_fit(values, m)
         ref = _PerObservationSzasz(fit.sample, fit.m, fit.orders, fit.counts)
-        assert np.array_equal(fit.gamma_shapes, ref._shapes()[:, 0])
+        assert np.array_equal(_shapes(fit), ref._shapes()[:, 0])
         assert fit.counts.sum() == fit.n
         assert np.array_equal(fit.evaluate(xs), ref.evaluate(xs))
         assert fit.evaluate(0.9) == ref.evaluate(0.9)
@@ -206,7 +211,7 @@ def test_szasz_expectation_identity(exp2):
     vals = np.empty(reps)
     for i in range(reps):
         vals[i] = szasz_fit(sample(exp2, 10_000 + i, n), m).evaluate(x)
-    target = szasz_operator(exp2, m, x)
+    target = szasz_exact_moments(exp2, m, n, x).s_m
     se = vals.std(ddof=1) / math.sqrt(reps)
     assert abs(vals.mean() - target) <= 4.0 * se
 
@@ -332,16 +337,6 @@ def test_hermite_standardization_identities():
             evaluate_rows(spec, data[None, :], 1.0)
 
 
-def test_hermite_clip_flag(exp2):
-    s = sample(exp2, 13, 15)
-    raw = hermite_half_fit(s, 3)
-    clipped = hermite_half_fit(s, 3, clip=True)
-    xs = np.linspace(0.0, 10.0, 101)
-    assert np.all(clipped.evaluate(xs) <= 1.0)
-    assert np.all(clipped.evaluate(xs) >= 0.0)
-    assert np.allclose(clipped.evaluate(xs), np.clip(raw.evaluate(xs), 0.0, 1.0))
-
-
 def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
@@ -349,20 +344,17 @@ def _bits(values):
 @settings(max_examples=60, deadline=None)
 @given(rows=st.integers(1, 30).flatmap(lambda n: st.lists(
            st.lists(st.floats(0.0, 20.0), min_size=n, max_size=n), min_size=1, max_size=3)),
-       order_max=st.integers(0, 40), scale=st.floats(0.05, 20.0), clip=st.booleans(),
+       order_max=st.integers(0, 40), scale=st.floats(0.05, 20.0),
        xs=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=70))
-def test_hermite_value_at_a_point_does_not_depend_on_the_batch(rows, order_max, scale,
-                                                               clip, xs):
+def test_hermite_value_at_a_point_does_not_depend_on_the_batch(rows, order_max, scale, xs):
     # the quantile bisection evaluates 63 midpoints per call and must walk as
     # one midpoint per call would; evaluate_rows must equal the fits
     samples = np.sort(np.array(rows), axis=1)
-    fits = [hermite_half_standardized_fit(row, order_max, None, scale, clip)
-            for row in samples]
+    fits = [hermite_half_standardized_fit(row, order_max, None, scale) for row in samples]
     xs = np.array(xs)
     batch = fits[0].evaluate(xs)
     assert _bits(batch) == _bits([fits[0].evaluate(x) for x in xs])
-    spec = {"kind": "hermite_half", "N": order_max, "standardize": True, "sigma": scale,
-            "clip": clip}
+    spec = {"kind": "hermite_half", "N": order_max, "standardize": True, "sigma": scale}
     for x in xs[:3]:
         assert _bits(evaluate_rows(spec, samples, x)) == _bits([f.evaluate(x) for f in fits])
 

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -107,7 +108,7 @@ def test_engine_matches_public_ise(exp2, beta33, weibull3):
 
 def test_bernstein_sweep_rejects_half_line_data(exp2):
     cfg = ExperimentConfig(exp2, "bernstein", (4, 9), n=30, M=5, master_seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bernstein sweep sample values must be <= 1.0"):
         _ise_matrix(cfg)
 
 
@@ -496,6 +497,27 @@ def test_config_rejects_grids_outside_the_family_domain(exp2, family, grid, mess
         ExperimentConfig(exp2, family, grid, n=20, M=5)
     # the boundary values the fits accept stay valid
     ExperimentConfig(exp2, family, (1, 3) if family != "hermite_half" else (0, 3), n=20, M=5)
+    # the fits and the normality rows take each grid value as the sweep does:
+    # the bad one with the same message, the others without error
+    key = {"szasz": "m", "bernstein": "m", "kernel": "h", "hermite_half": "N"}[family]
+    errors = []
+    for p in grid:
+        spec, rows = {"kind": family, key: p}, np.array([[0.2, 0.5]])
+        got = {_error(lambda: ExperimentConfig(exp2, family, (p,), n=20, M=5)),
+               _error(lambda: fit_from_spec(spec, rows[0])),
+               _error(lambda: estimators.evaluate_rows(spec, rows, 0.3))}
+        assert len(got) == 1, (p, got)
+        errors += [e for e in got if e is not None]
+    assert len(errors) == 1 and re.search(message, errors[0]), errors
+
+
+def _error(call):
+    # the message of the ValueError call raises, or None
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def test_normality_experiment_edf(beta33):
@@ -516,7 +538,7 @@ _NORMALITY_SPECS = [
     {"kind": "szasz", "m": 252},
     {"kind": "kernel", "h": 0.05},
     {"kind": "hermite_half", "N": 20},
-    {"kind": "hermite_half", "N": 12, "standardize": True, "clip": True},
+    {"kind": "hermite_half", "N": 12, "standardize": True},
     {"kind": "bernstein", "m": 40},
 ]
 
@@ -574,6 +596,7 @@ def test_normality_chunks_equal_the_per_row_fits(beta33, spec, monkeypatch):
     ("beta33", {"kind": "szasz", "m": 2.5}, ValueError, "order m must be a positive integer"),
     ("beta33", {"kind": "kernel", "h": float("inf")}, ValueError, "bandwidth must be positive"),
     ("exp2", {"kind": "szasz", "m": 2 ** 52}, ValueError, r"limit 2\*\*53"),
+    ("beta33", {"kind": ["szasz"]}, ValueError, "unknown estimator kind"),
 ])
 def test_normality_experiment_error_paths(request, dist, spec, error, message):
     # the errors the per-row fits raised, from the one spec parser and checks

@@ -3,37 +3,19 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy import special as sp
 
-from smoothcdf.special import hermite_basis, hermite_values, poisson_log_pmf, reg_lower_gamma
-
-
-def test_reg_lower_gamma_closed_forms():
-    # gamma(1, x) / Gamma(1) = 1 - exp(-x)
-    assert reg_lower_gamma(1.0, 1.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
-    assert reg_lower_gamma(7.3, 0.0) == 0.0
-    # Poisson tail with s = 2: 1 - e^{-1}(1 + 1)
-    assert reg_lower_gamma(2.0, 1.0) == pytest.approx(1.0 - 2.0 * math.exp(-1.0), abs=1e-12)
+from smoothcdf.special import hermite_basis, hermite_values, poisson_log_pmf
 
 
-def test_reg_lower_gamma_poisson_complement_identity():
+def test_poisson_log_pmf_complements_the_incomplete_gamma_tail():
+    # P(Poisson(lam) < k) + P(k, lam) = 1, with P the regularized lower
+    # incomplete gamma function
     for lam in (0.1, 1.0, 10.0):
         for k in range(1, 31):
             j = np.arange(k, dtype=float)
             head = np.exp(poisson_log_pmf(j, lam)).sum()
-            assert reg_lower_gamma(float(k), lam) + head == pytest.approx(1.0, abs=1e-10)
-
-
-def test_reg_lower_gamma_monotone_and_domain():
-    xs = np.linspace(0.0, 20.0, 200)
-    vals = reg_lower_gamma(3.7, xs)
-    assert np.all(np.diff(vals) >= 0.0)
-    assert np.all((vals >= 0.0) & (vals <= 1.0))
-    with pytest.raises(ValueError):
-        reg_lower_gamma(0.0, 1.0)
-    with pytest.raises(ValueError):
-        reg_lower_gamma(2.0, -1.0)
-    with pytest.raises(ValueError):
-        reg_lower_gamma(float("nan"), 1.0)
+            assert sp.gammainc(float(k), lam) + head == pytest.approx(1.0, abs=1e-10)
 
 
 def _hermite_direct(x, k):
@@ -87,7 +69,6 @@ def test_hermite_uniform_bound():
 
 
 def test_functions_are_pure():
-    assert reg_lower_gamma(3.3, 2.2) == reg_lower_gamma(3.3, 2.2)
     a = hermite_basis(1.3, 12)
     b = hermite_basis(1.3, 12)
     assert np.array_equal(a[0], b[0])

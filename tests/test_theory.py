@@ -15,7 +15,6 @@ from smoothcdf import (
     sample,
     szasz_exact_moments,
     szasz_fit,
-    szasz_operator,
     weighted_L_integral,
 )
 from smoothcdf.special import poisson_log_pmf
@@ -81,7 +80,6 @@ def test_band_sums_match_the_full_range(exp2):
         if x == 0.0:
             continue
         assert close(R_tilde_1(m, x), math.sqrt(m) * float(np.sum((k / m - x) * v * (2.0 * q - v))))
-        assert close(szasz_operator(exp2, m, x), float(np.sum(exp2.cdf(k / m) * v)))
         fk = exp2.cdf(k / m)
         s_m = float(np.sum(fk * v))
         second = float(np.sum(fk * v * (2.0 * q - v)))
@@ -94,19 +92,25 @@ def test_band_sums_match_the_full_range(exp2):
         assert close(em.variance, max((second - s_m**2) / 3, 0.0), scale=second / 3)
 
 
+def _szasz_operator(dist, m, x):
+    # the smoothing operator applied to the true CDF, sum_k F(k/m) V_k(x)
+    return szasz_exact_moments(dist, m, 1, x).s_m
+
+
 def test_szasz_operator(exp2):
-    assert szasz_operator(exp2, 50, 0.0) == 0.0
+    # it vanishes at 0 like its k = 1 term, m x F(1/m)
+    assert _szasz_operator(exp2, 50, 1e-12) == pytest.approx(50e-12 * exp2.cdf(0.02), rel=1e-9)
     # operator converges to F with bias ~ bS / m
-    s4 = szasz_operator(exp2, 10**4, 1.0)
+    s4 = _szasz_operator(exp2, 10**4, 1.0)
     assert abs(s4 - exp2.cdf(1.0)) <= 2e-4
     bS = pointwise_coeffs(exp2, 1.0).bS
-    r3 = 10**3 * (szasz_operator(exp2, 10**3, 1.0) - exp2.cdf(1.0))
+    r3 = 10**3 * (_szasz_operator(exp2, 10**3, 1.0) - exp2.cdf(1.0))
     r4 = 10**4 * (s4 - exp2.cdf(1.0))
     assert abs(r4 / bS - 1.0) < 0.02
     assert abs(r4 - bS) < abs(r3 - bS)
-    # bounded and non-decreasing on a grid
-    grid = np.linspace(0.0, 5.0, 41)
-    vals = np.array([szasz_operator(exp2, 30, x) for x in grid])
+    # bounded and non-decreasing on a grid above 0, where the moments are defined
+    grid = np.linspace(0.125, 5.0, 40)
+    vals = np.array([_szasz_operator(exp2, 30, x) for x in grid])
     assert np.all((vals >= 0.0) & (vals <= 1.0))
     assert np.all(np.diff(vals) >= -1e-14)
 
@@ -169,6 +173,19 @@ def test_R_limits():
         x = float(rng.uniform(0.01, 6.0))
         r2 = R_j(m, x, 2)
         assert 0.0 <= r2 <= x / m + 1e-15
+
+
+@pytest.mark.parametrize("m", [2.5, 0, math.nan])
+def test_every_order_is_checked_as_the_fits_check_it(exp2, m):
+    # these used to truncate m: L_m(2.5, x) was L_m(2, x), and
+    # szasz_exact_moments at m = 2.7 its value at m = 2
+    calls = [lambda: L_m(m, 1.0), lambda: R_j(m, 1.0, 1), lambda: R_j(m, 0.0, 2),
+             lambda: R_tilde_1(m, 1.0), lambda: weighted_L_integral(m, 1.0),
+             lambda: szasz_exact_moments(exp2, m, 10, 1.0),
+             lambda: exact_deficiency_local(exp2, m, 10, 1.0), lambda: szasz_fit([1.0], m)]
+    for call in calls:
+        with pytest.raises(ValueError, match="order m must be a positive integer"):
+            call()
 
 
 def test_exact_moments_scaling_and_limits(exp2):

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
+from ._checks import integer, nonnegative, positive
+
 __all__ = [
     "PointwiseCoeffs",
     "MiseConstants",
@@ -75,9 +77,7 @@ class MiseOptimum:
 
 def pointwise_coeffs(dist, x):
     """Evaluate sigma2, bS, VS and their ratios for a known model at x > 0."""
-    x = float(x)
-    if x <= 0.0:
-        raise ValueError("x must be positive")
+    x = positive("x", x)
     fx = float(dist.cdf(x))
     f = float(dist.pdf(x))
     fp = float(dist.pdf_prime(x))
@@ -95,10 +95,7 @@ def pointwise_coeffs(dist, x):
 
 def mse_asymptotic(coeffs, m, n):
     """Three-term pointwise expansion sigma2/n - VS/(sqrt(m) n) + bS^2/m^2."""
-    m = int(m)
-    n = int(n)
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive integers")
+    m, n = integer("order m", m), integer("n", n)
     return coeffs.sigma2 / n - coeffs.VS / (math.sqrt(m) * n) + (coeffs.bS / m) ** 2
 
 
@@ -108,9 +105,7 @@ def m_opt_mse(coeffs, n):
     m_opt = n^(2/3) [4 bS^2 / VS]^(2/3); the attained expansion value is
     sigma2/n - (3/4) n^(-4/3) [VS^4 / (4 bS^2)]^(1/3).
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = integer("n", n)
     if coeffs.bS == 0.0 or coeffs.VS == 0.0:
         raise ValueError("degenerate point: requires f(x) != 0 and f'(x) != 0")
     m_opt = n ** (2.0 / 3.0) * (4.0 * coeffs.bS**2 / coeffs.VS) ** (2.0 / 3.0)
@@ -126,10 +121,7 @@ def mise_constants(dist, a):
     only (it equals 1/6 for every continuous model); C2 and C3 are then
     reported as NaN.
     """
-    a = float(a)
-    if a < 0.0:
-        raise ValueError("a must be >= 0")
-
+    a = nonnegative("a", a)
     upper = float(dist.quantile(1.0 - 1e-13))
 
     def weight(x):
@@ -160,9 +152,7 @@ def mise_constants(dist, a):
 
 def m_opt_mise(consts, n):
     """Order minimizing the integrated expansion, with the attained value."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = integer("n", n)
     if not (consts.C2 > 0.0 and consts.C3 > 0.0):
         raise ValueError("degenerate constants: requires C2 > 0 and C3 > 0")
     m_opt = n ** (2.0 / 3.0) * (4.0 * consts.C3 / consts.C2) ** (2.0 / 3.0)
@@ -191,7 +181,7 @@ def deficiency_asymptotic(coeffs_or_consts, n, regime, mode, c=None, m=None):
     n^(2/3) (c^(-1/2) theta - c^(-2) gamma), with (theta, gamma) the local
     ratios or (C2/C1, C3/C1).
     """
-    n = int(n)
+    n = integer("n", n)
     if regime == "local":
         coeffs = coeffs_or_consts
         theta, gamma = coeffs.thetaS, coeffs.gammaS
@@ -204,11 +194,12 @@ def deficiency_asymptotic(coeffs_or_consts, n, regime, mode, c=None, m=None):
         raise ValueError("regime must be 'local' or 'global'")
 
     if mode == "a":
-        if m is None or m <= 0:
+        if m is None:
             raise ValueError("mode 'a' needs a positive order m")
-        return n * theta / math.sqrt(m)
+        return n * theta / math.sqrt(integer("order m", m))
     if mode == "b":
-        if c is None or c <= 0.0:
+        if c is None:
             raise ValueError("mode 'b' needs a positive constant c")
+        c = positive("c", c)
         return n ** (2.0 / 3.0) * (theta / math.sqrt(c) - gamma / c**2)
     raise ValueError("mode must be 'a' or 'b'")

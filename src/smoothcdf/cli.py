@@ -87,16 +87,11 @@ def _read_json(path):
 
 
 def _estimator_spec_from_args(args):
-    spec = {"kind": args.kind}
-    for key in ("m", "N"):
-        if getattr(args, key, None) is not None:
-            spec[key] = int(getattr(args, key))
-    if args.h is not None:
-        spec["h"] = float(args.h)
+    # argparse has already made m and N ints, h and sigma floats
+    spec = {key: getattr(args, key) for key in ("kind", "m", "N", "h", "sigma")
+            if getattr(args, key) is not None}
     if args.standardize:
         spec["standardize"] = True
-    if args.sigma is not None:
-        spec["sigma"] = float(args.sigma)
     return spec
 
 
@@ -137,10 +132,10 @@ def _sweep_config(raw):
             dist=dist,
             estimator_family=raw["estimator_family"],
             param_grid=tuple(raw["param_grid"]),
-            n=int(raw["n"]),
-            M=int(raw.get("M", 10_000)),
+            n=raw["n"],
+            M=raw.get("M", 10_000),
             master_seed=int(raw.get("master_seed", 0)),
-            quadrature_nodes=int(raw.get("quadrature_nodes", 512)),
+            quadrature_nodes=raw.get("quadrature_nodes", 512),
             standardize=bool(raw.get("standardize", False)),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -180,8 +175,8 @@ def cmd_normality(args):
         dist = distribution_from_spec(raw["dist"])
         estimator = dict(raw["estimator"])
         x = float(raw["x"])
-        n = int(raw["n"])
-        m_reps = int(raw.get("M", 10_000))
+        n = raw["n"]
+        m_reps = raw.get("M", 10_000)
         master_seed = int(raw.get("master_seed", 0))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad normality config: {exc}") from exc
@@ -215,12 +210,7 @@ def cmd_asymptotics(args):
         dist = distribution_from_spec(dist_spec)
     except (KeyError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"bad --dist spec: {exc}") from exc
-    x = float(args.x)
-    n = int(args.n)
-    a = float(args.a)
-    if x <= 0.0:
-        raise ConfigError("--x must be positive")
-
+    x, n, a = args.x, args.n, args.a
     coeffs = pointwise_coeffs(dist, x)
     consts = mise_constants(dist, a)
     try:
@@ -323,14 +313,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "workers"):
-        env = os.environ.get("SMOOTHCDF_WORKERS")
-        if env is not None:
-            try:
-                args.workers = int(env)
-            except ValueError:
-                print(f"smoothcdf: bad SMOOTHCDF_WORKERS value: {env!r}", file=sys.stderr)
-                return 2
     try:
         return args.func(args)
     except ValueError as exc:  # ConfigError too

@@ -9,12 +9,13 @@ Hermite formulas are functions over a leading row axis of samples
 sweeps in ``simulation`` pass chunks of repetitions.  ``evaluate_rows``
 reads every row's estimate at one point through these formulas and
 ``_szasz_rows`` without building a fitted object per row; it and
-``fit_from_spec`` share one spec parser.  ``_KINDS`` holds, per kind, the
-fitted class (whose ``_lower`` and ``_upper`` are the family's domain), the
-spec key of its parameter and that parameter's check; the spec parser and
-``simulation``'s sweep config read it.  The
-smooth half-line estimator is evaluated through its finite incomplete-gamma
-representation: with c_i = max(1, ceil(m X_i)),
+``fit_from_spec`` share one spec parser, which rejects keys no kind knows.
+``_KINDS`` holds, per kind, the fitted class (whose ``_lower`` and
+``_upper`` are the family's domain), the spec key of its parameter and that
+parameter's check, one of the shared checks of ``_checks``; the spec parser
+and ``simulation``'s sweep config read it.  The smooth half-line estimator
+is evaluated through its finite incomplete-gamma representation: with
+c_i = max(1, ceil(m X_i)),
 
     Fhat(x) = (1/n) sum_i P(c_i, m x),
 
@@ -57,18 +58,23 @@ midpoint per call.
 
 Work over many rows or points goes in chunks (``_in_chunks``) whose
 arrays held at once, temporaries included, have at most
-``_ELEMENT_BUDGET`` elements.
+``_ELEMENT_BUDGET`` elements.  The Szasz and kernel ``evaluate`` and the
+Szasz ``density`` take their points so.  A chunk of exactly one point
+averages over the observations in another order than a wider chunk does,
+so its value can differ in the last bit from the same point evaluated
+among others.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy import special as sp
 
+from ._checks import integer, positive
 from .special import hermite_basis, hermite_values, poisson_log_pmf
 
 __all__ = [
@@ -392,11 +398,16 @@ class SzaszEstimator(_Fitted):
             flat, self.n + self.orders.size)
 
     def density(self, x):
-        """Derivative of the fitted CDF, a Poisson-weight mixture density."""
+        """Derivative of the fitted CDF, a Poisson-weight mixture density.
+
+        Taken in chunks of points, as ``evaluate`` is; a point alone in its
+        chunk can differ in the last bit (see the module docstring).
+        """
         k = (self.orders - 1).astype(float)[:, None]
-        return self._pointwise(
+        return self._pointwise(lambda flat: _in_chunks(
             lambda t: self.m * self._per_observation(
-                np.exp(poisson_log_pmf(k, self.m * t[None, :]))), x)
+                np.exp(poisson_log_pmf(k, self.m * t[None, :]))),
+            flat, self.n + 2 * self.orders.size), x)
 
     def quantile(self, p):
         return self._search(p, 0.0, 2.0 * float(self.sample[-1]) + 10.0 / self.m)
@@ -433,7 +444,8 @@ class KernelCDF(_Fitted):
     kind: str = field(default="kernel", init=False)
 
     def _cdf(self, flat):
-        return _kernel_rows(self.sample[None, :], self.h, flat)[0]
+        return _in_chunks(lambda t: _kernel_rows(self.sample[None, :], self.h, t)[0],
+                          flat, self.n + 1)
 
     def quantile(self, p):
         return self._search(p, float(self.sample[0]) - self.h,
@@ -506,21 +518,21 @@ def szasz_fit(values, m):
     has probability zero.  m times the largest observation must stay below
     2**53, so that every c_i is an exact integer.
     """
-    m = _check_order(m)
+    m = integer("order m", m)
     x = _as_sample(values)
     return SzaszEstimator(x, m, *np.unique(_szasz_orders(x, m), return_counts=True))
 
 
 def bernstein_fit(values, m):
     """Fit the Bernstein polynomial estimator on data in [0, 1]."""
-    m = _check_order(m)
+    m = integer("order m", m)
     x = _as_sample(values, upper=1.0)
     return BernsteinEstimator(x, m, *np.unique(_bernstein_orders(x, m), return_counts=True))
 
 
 def kernel_fit(values, h):
     """Fit the Gaussian-kernel CDF estimator with bandwidth h > 0."""
-    return KernelCDF(_as_sample(values, lower=None), _check_bandwidth(h))
+    return KernelCDF(_as_sample(values, lower=None), positive("bandwidth", h))
 
 
 def hermite_half_fit(values, order_max):
@@ -537,8 +549,8 @@ def hermite_half_standardized_fit(values, order_max, mu, sigma):
     so rescaling data and query point together leaves the output unchanged.
     """
     del mu
-    sigma = _check_scale(sigma)
-    order_max = _check_order_max(order_max)
+    sigma = positive("sigma", sigma)
+    order_max = integer("order_max", order_max, lo=0)
     x = _as_sample(values)
     coef = _hermite_coefficients(x[None, :], sigma, order_max)[0]
     return HermiteHalfEstimator(x, order_max, coef, scale=sigma)
@@ -552,6 +564,9 @@ def _parse_spec(spec, dist=None):
     kind = spec["kind"]
     if kind not in KINDS:  # the tuple, so an unhashable kind is no TypeError
         raise ValueError(f"unknown estimator kind: {kind!r}")
+    unknown = set(spec) - _SPEC_KEYS
+    if unknown:
+        raise ValueError(f"unknown estimator spec keys: {', '.join(sorted(map(repr, unknown)))}")
     _, key, check = _KINDS[kind]
     args = () if key is None else (check(spec[key]),)
     if kind == "hermite_half":
@@ -560,7 +575,7 @@ def _parse_spec(spec, dist=None):
             sigma = spec.get("sigma", dist.sd if dist is not None else None)
             if sigma is None:
                 raise ValueError("standardized hermite fit needs sigma (or a model)")
-        args += (None, _check_scale(sigma))
+        args += (None, positive("sigma", sigma))
     return kind, args
 
 
@@ -617,40 +632,13 @@ def evaluate_rows(spec, samples, x, dist=None):
     return _in_chunks(rows, samples, width)
 
 
-def _check_order(m):
-    m = float(m)  # integral floats such as 2.0 are orders; 2.5, inf and NaN are not
-    if not (m.is_integer() and m >= 1.0):
-        raise ValueError("order m must be a positive integer")
-    return int(m)
-
-
-def _check_bandwidth(h):
-    if not 0.0 < float(h) < math.inf:  # NaN too
-        raise ValueError("bandwidth must be positive and finite")
-    return float(h)
-
-
-def _check_order_max(order_max):
-    order_max = float(order_max)
-    if not order_max.is_integer():
-        raise ValueError("order_max must be an integer")
-    if order_max < 0.0:
-        raise ValueError("order_max must be >= 0")
-    return int(order_max)
-
-
-def _check_scale(sigma):
-    if not 0.0 < float(sigma) < math.inf:  # NaN too
-        raise ValueError("sigma must be positive and finite")
-    return float(sigma)
-
-
 # kind: (fitted class, spec key of its parameter, the parameter's check)
 _KINDS = {
     "edf": (EmpiricalCDF, None, float),
-    "szasz": (SzaszEstimator, "m", _check_order),
-    "bernstein": (BernsteinEstimator, "m", _check_order),
-    "kernel": (KernelCDF, "h", _check_bandwidth),
-    "hermite_half": (HermiteHalfEstimator, "N", _check_order_max),
+    "szasz": (SzaszEstimator, "m", partial(integer, "order m")),
+    "bernstein": (BernsteinEstimator, "m", partial(integer, "order m")),
+    "kernel": (KernelCDF, "h", partial(positive, "bandwidth")),
+    "hermite_half": (HermiteHalfEstimator, "N", partial(integer, "order_max", lo=0)),
 }
 KINDS = tuple(_KINDS)  # the spec kinds
+_SPEC_KEYS = {"kind", "standardize", "sigma"} | {key for _, key, _ in _KINDS.values() if key}

@@ -24,6 +24,8 @@ from typing import Callable
 import numpy as np
 from scipy import special as sp
 
+from ._checks import integer, positive
+
 __all__ = [
     "TrueDistribution",
     "MixtureSpec",
@@ -71,24 +73,18 @@ class MixtureSpec:
     components: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
-        comps = tuple((float(w), float(a), float(b)) for w, a, b in self.components)
+        comps = tuple((positive("mixture weight", w), positive("Weibull shape", a),
+                       positive("Weibull scale", b)) for w, a, b in self.components)
         object.__setattr__(self, "components", comps)
         if not comps:
             raise ValueError("mixture needs at least one component")
-        weights = np.array([c[0] for c in comps])
-        if np.any(weights <= 0.0):
-            raise ValueError("mixture weights must be positive")
-        if abs(weights.sum() - 1.0) > 1e-12:
+        if abs(np.sum([c[0] for c in comps]) - 1.0) > 1e-12:
             raise ValueError("mixture weights must sum to 1")
-        if any(c[1] <= 0.0 or c[2] <= 0.0 for c in comps):
-            raise ValueError("Weibull shape and scale must be positive")
 
 
 def make_exponential(rate):
     """Exponential distribution with rate parameter, F(x) = 1 - exp(-rate*x)."""
-    rate = float(rate)
-    if rate <= 0.0:
-        raise ValueError("rate must be positive")
+    rate = positive("rate", rate)
 
     def cdf(x):
         x = np.asarray(x, dtype=float)
@@ -247,10 +243,7 @@ def make_weibull_mixture(spec):
 
 def make_beta(alpha, beta):
     """Beta(alpha, beta) on [0, 1]."""
-    alpha = float(alpha)
-    beta = float(beta)
-    if alpha <= 0.0 or beta <= 0.0:
-        raise ValueError("beta parameters must be positive")
+    alpha, beta = positive("alpha", alpha), positive("beta", beta)
     lognc = sp.betaln(alpha, beta)
 
     def cdf(x):
@@ -311,9 +304,7 @@ def sample(dist, seed, n):
     transform.  This is the one-row case of ``simulation.samples_matrix``,
     which draws chunks of rows through the same two steps.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = integer("n", n)
     u = np.empty(dist.uniforms_per_draw * n)
     _fill_uniforms(np.array([int(seed) & 0xFFFF_FFFF_FFFF_FFFF], dtype=np.uint64), u[None, :])
     values = dist._invert(u)
@@ -361,6 +352,6 @@ def distribution_from_spec(spec):
 
 def _check_prob(p):
     p = np.asarray(p, dtype=float)
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN too
         raise ValueError("probabilities must lie in [0, 1]")
     return p

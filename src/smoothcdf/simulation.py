@@ -48,6 +48,7 @@ import numpy as np
 from scipy import special as sp
 
 from . import estimators, models
+from ._checks import integer
 from .estimators import (
     _KINDS, KINDS, EmpiricalCDF, _bernstein_rows, _bernstein_survival, _check_sample,
     _hermite_coefficients, _in_chunks, _kernel_rows, _row_bincount, _szasz_orders,
@@ -106,10 +107,8 @@ class ExperimentConfig:
         for p in grid:  # the fit's own check of its parameter
             _KINDS[self.estimator_family][2](p)
         object.__setattr__(self, "param_grid", grid)
-        if self.n < 1 or self.M < 1:
-            raise ValueError("n and M must be >= 1")
-        if self.quadrature_nodes < 2:
-            raise ValueError("quadrature_nodes must be >= 2")
+        for name, lo in (("n", 1), ("M", 1), ("quadrature_nodes", 2)):
+            object.__setattr__(self, name, integer(name, getattr(self, name), lo))
 
 
 @dataclass(frozen=True)
@@ -196,11 +195,7 @@ def samples_matrix(dist, master_seed, n_reps, n, workers=1):
     asks for more rows, or for other inputs, draws afresh and replaces it.
     """
     global _last_draw
-    n_reps, n = int(n_reps), int(n)
-    if n_reps < 1:
-        raise ValueError("n_reps must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n_reps, n = integer("n_reps", n_reps), integer("n", n)
     seed = int(master_seed) & 0xFFFF_FFFF_FFFF_FFFF
     # one read of the shared entry: a concurrent caller can replace it, so
     # a race may cost a redraw but never hands out rows of other inputs
@@ -287,8 +282,7 @@ def normality_experiment(dist, estimator_spec, x, n, M, master_seed, workers=1):
     row, computed by ``estimators.evaluate_rows`` over chunks of rows on
     the calling thread.  The values do not depend on ``workers``.
     """
-    if n < 1 or M < 1:
-        raise ValueError("n and M must be >= 1")
+    n, M = integer("n", n), integer("M", M)
     x = float(x)
     fx = float(dist.cdf(x))
     if not 0.0 < fx < 1.0:
@@ -297,7 +291,7 @@ def normality_experiment(dist, estimator_spec, x, n, M, master_seed, workers=1):
                            x, dist)
     ref_sd = math.sqrt(fx * (1.0 - fx) / n)
     ks = ks_distance_normal(values, fx, ref_sd)
-    return NormalityResult(x, int(n), int(M), values, fx, ref_sd, ks)
+    return NormalityResult(x, n, M, values, fx, ref_sd, ks)
 
 
 def ks_distance_normal(values, mean, sd):

@@ -14,8 +14,9 @@ below the floor the Poisson mass is under 1e-30 too, and the suffix sums
 Q_k of the kept k are the same as over the full range.  At z = 5e5 that
 is about 17,000 terms instead of 500,000.  ``poisson_weights`` pads the
 band with zeros below the floor, so its vector still runs over 0..K.
-Every order m is checked as the fits check it (``estimators._check_order``),
-so 2.5, 0 and NaN raise.
+Every argument goes through the shared checks of ``_checks``, which the fits
+use too: an order m of 2.5, 0 or NaN raises, and so does an x or a weight a
+that is NaN or infinite.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .estimators import _check_order
+from ._checks import integer, nonnegative, positive
 from .special import poisson_log_pmf
 
 __all__ = [
@@ -93,10 +94,8 @@ def _band(m, x):
     truncation_index(mx) (just k = 0 at x = 0), their weights V_k and the
     analytic tail P(Poisson(mx) > k[-1]).
     """
-    m = _check_order(m)
-    x = float(x)
-    if x < 0.0:
-        raise ValueError("x must be >= 0")
+    m = integer("order m", m)
+    x = nonnegative("x", x)
     z = m * x
     if z == 0.0:
         return np.zeros(1), np.ones(1), 0.0
@@ -136,10 +135,8 @@ def weighted_L_integral(m, a, moment=0):
     moment 0 and sqrt(m) (a + 2m) / (a (a + 4m))^(3/2) for moment 1.
     Returns (termwise, closed_form, difference).
     """
-    m = _check_order(m)
-    a = float(a)
-    if a <= 0.0:
-        raise ValueError("a must be positive")
+    m = integer("order m", m)
+    a = positive("a", a)
     if moment not in (0, 1):
         raise ValueError("moment must be 0 or 1")
 
@@ -182,22 +179,18 @@ def weighted_L_integral(m, a, moment=0):
 
 def R_tilde_1(m, x):
     """sqrt(m) * sum_{k,l} ((k ^ l)/m - x) V_k V_l via the min identity."""
-    m = _check_order(m)
-    x = float(x)
-    if x <= 0.0:
-        raise ValueError("x must be positive")
+    m = integer("order m", m)
+    x = positive("x", x)
     k, v, q, _ = _weights_and_suffix(m, x)
     return float(math.sqrt(m) * np.sum((k / m - x) * v * (2.0 * q - v)))
 
 
 def R_j(m, x, j):
     """m^(-j) * sum over k < l of (k - m x)^j V_k V_l."""
-    m = _check_order(m)
-    x = float(x)
+    m = integer("order m", m)
+    x = nonnegative("x", x)
     if j not in (0, 1, 2):
         raise ValueError("j must be 0, 1 or 2")
-    if x < 0.0:
-        raise ValueError("x must be >= 0")
     if x == 0.0:
         return 0.0
     k, v, q, _ = _weights_and_suffix(m, x)
@@ -217,13 +210,9 @@ def szasz_exact_moments(dist, m, n, x):
     F(x) is within rounding of 1; the estimator variance is that divided
     by n.
     """
-    m = _check_order(m)
-    n = int(n)
-    x = float(x)
-    if x <= 0.0:
-        raise ValueError("x must be positive")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    m = integer("order m", m)
+    n = integer("n", n)
+    x = positive("x", x)
     k, v, tail = _band(m, x)
     fk = np.asarray(dist.cdf(k / m), dtype=float)
     upper = np.asarray(dist.sf(k / m), dtype=float) * v

@@ -117,7 +117,7 @@ def test_sweep_rejects_grid_outside_the_family_domain(tmp_path, capsys):
     }), encoding="utf-8")
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out-dir", str(out)]) == 2
-    assert "order_max must be >= 0" in capsys.readouterr().err
+    assert "order_max must be an integer >= 0" in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
 
 
@@ -141,9 +141,8 @@ def test_normality_command(tmp_path):
     assert 0.0 <= summary["ks_distance"] <= 1.0
 
 
-def test_normality_output_does_not_depend_on_workers(tmp_path, monkeypatch):
+def test_normality_output_does_not_depend_on_workers(tmp_path):
     # 400 repetitions of n=100 are three chunks of rows on two workers
-    monkeypatch.delenv("SMOOTHCDF_WORKERS", raising=False)
     config = {"dist": {"kind": "beta", "alpha": 3, "beta": 3},
               "estimator": {"kind": "szasz", "m": 50}, "x": 0.4, "n": 100, "M": 400,
               "master_seed": 5}
@@ -157,10 +156,6 @@ def test_normality_output_does_not_depend_on_workers(tmp_path, monkeypatch):
         outputs.append([(out / name).read_bytes()
                         for name in ("normality_values.csv", "normality_summary.json")])
     assert outputs[0] == outputs[1]
-    # SMOOTHCDF_WORKERS overrides the flag here as it does for sweep
-    monkeypatch.setenv("SMOOTHCDF_WORKERS", "not-a-number")
-    assert main(["normality", "--config", str(cfg_path), "--out-dir", str(tmp_path / "bad"),
-                 "--workers", "2"]) == 2
 
 
 def test_normality_rejects_empty_sizes(tmp_path, capsys):
@@ -170,7 +165,7 @@ def test_normality_rejects_empty_sizes(tmp_path, capsys):
                   "estimator": {"kind": "edf"}, "x": 0.4, "n": n, "M": reps}
         cfg_path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["normality", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == "smoothcdf: n and M must be >= 1\n"
+        assert capsys.readouterr().err == f"smoothcdf: {'n' if n < 1 else 'M'} must be a positive integer\n"
     assert not (tmp_path / "normality_values.csv").exists()
 
 
@@ -211,23 +206,37 @@ def test_asymptotics_bad_spec(tmp_path):
                  "--x", "1", "--n", "10", "--out-dir", str(tmp_path)]) == 2
 
 
+_EXP2 = '{"kind":"exponential","rate":2}'
+_SWEEP = {"dist": {"kind": "exponential", "rate": 2}, "estimator_family": "bernstein",
+          "param_grid": [4, 9], "n": 20, "M": 5}
+_NORMALITY = {"dist": {"kind": "beta", "alpha": 3, "beta": 3},
+              "estimator": {"kind": "edf"}, "x": 0.4, "n": 30, "M": 20}
+
+
+@pytest.mark.filterwarnings("error")  # an IntegrationWarning would be a second line
 @pytest.mark.parametrize("argv", [
-    ["asymptotics", "--dist", '{"kind":"exponential","rate":2}', "--x", "1", "--n", "0"],
-    ["asymptotics", "--dist", '{"kind":"exponential","rate":2}', "--x", "1", "--n", "10",
-     "--a", "-1"],
-    ["asymptotics", "--dist", '{"kind":"exponential","rate":2}', "--x", "1", "--n", "10",
-     "--a", "0"],
+    ["asymptotics", "--dist", _EXP2, "--x", "1", "--n", "0"],
+    ["asymptotics", "--dist", _EXP2, "--x", "1", "--n", "10", "--a", "-1"],
+    ["asymptotics", "--dist", _EXP2, "--x", "1", "--n", "10", "--a", "0"],
     ["asymptotics", "--dist", '{"kind":"exponential"}', "--x", "1", "--n", "10"],
-    ["sweep", "--config", None],
-], ids=["n=0", "a<0", "a=0", "no rate", "bernstein on the half line"])
+    ["sweep", "--config", _SWEEP],
+    ["asymptotics", "--dist", _EXP2, "--x", "nan", "--n", "10"],
+    ["asymptotics", "--dist", _EXP2, "--x", "inf", "--n", "10"],
+    ["asymptotics", "--dist", _EXP2, "--x", "1", "--n", "10", "--a", "nan"],
+    ["asymptotics", "--dist", '{"kind":"exponential","rate":NaN}', "--x", "1", "--n", "10"],
+    ["sweep", "--config", {**_SWEEP, "estimator_family": "szasz", "n": 2.5}],
+    ["normality", "--config", {**_NORMALITY, "n": 30.7}],
+    ["normality", "--config", {**_NORMALITY, "estimator": {"kind": "edf", "clip": True}}],
+], ids=["n=0", "a<0", "a=0", "no rate", "bernstein on the half line", "x=nan", "x=inf",
+        "a=nan", "rate=nan", "sweep n=2.5", "normality n=30.7", "normality clip"])
 def test_invalid_input_exits_2_with_one_message(tmp_path, capsys, argv):
-    # each of these ended in a traceback with exit code 1
+    # each of these ended in a traceback with exit code 1, or ran: NaN x and a
+    # were written out, and n = 2.5 or 30.7 ran at n = 2 or 30
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "dist": {"kind": "exponential", "rate": 2}, "estimator_family": "bernstein",
-        "param_grid": [4, 9], "n": 20, "M": 5,
-    }), encoding="utf-8")
-    argv = [str(cfg) if arg is None else arg for arg in argv]
+    for arg in argv:
+        if isinstance(arg, dict):
+            cfg.write_text(json.dumps(arg), encoding="utf-8")
+    argv = [str(cfg) if isinstance(arg, dict) else arg for arg in argv]
     assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("smoothcdf: ") and err.count("\n") == 1, err
@@ -265,7 +274,7 @@ def test_estimate_standardized_hermite_and_missing_param(tmp_path, capsys):
         assert "sigma must be positive and finite" in capsys.readouterr().err
 
 
-def test_workers_env_var_overrides_flag(tmp_path, monkeypatch):
+def test_sweep_output_does_not_depend_on_workers(tmp_path):
     config = {
         "dist": {"kind": "exponential", "rate": 2},
         "estimator_family": "szasz",
@@ -276,13 +285,8 @@ def test_workers_env_var_overrides_flag(tmp_path, monkeypatch):
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
-    monkeypatch.setenv("SMOOTHCDF_WORKERS", "1")
     assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path / "a"),
-                 "--workers", "8"]) == 0
-    monkeypatch.setenv("SMOOTHCDF_WORKERS", "not-a-number")
-    assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path / "b"),
-                 "--workers", "8"]) == 2
-    monkeypatch.delenv("SMOOTHCDF_WORKERS")
+                 "--workers", "1"]) == 0
     # results do not depend on the worker count
     assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path / "c")]) == 0
     assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "c" / "sweep.csv").read_bytes()

@@ -368,10 +368,10 @@ def test_samples_matrix_draws_rows_larger_than_a_chunk(kind):
 def test_samples_matrix_rejects_nonpositive_counts(beta33):
     samples_matrix(beta33, 3, 5, 20)
     for reps in (0, -1):  # -1 would otherwise slice the kept draw to four rows
-        with pytest.raises(ValueError, match="n_reps must be >= 1"):
+        with pytest.raises(ValueError, match="n_reps must be a positive integer"):
             samples_matrix(beta33, 3, reps, 20)
     for n in (0, -1):
-        with pytest.raises(ValueError, match="n must be >= 1"):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
             samples_matrix(beta33, 3, 5, n)
 
 
@@ -484,7 +484,7 @@ def test_config_validation(exp2):
     ("bernstein", (0, 3), "order m must be a positive integer"),
     ("kernel", (-0.05, 0.1), "bandwidth must be positive"),
     ("kernel", (0.05, float("nan")), "bandwidth must be positive"),
-    ("hermite_half", (-1, 3), "order_max must be >= 0"),
+    ("hermite_half", (-1, 3), "order_max must be an integer >= 0"),
     ("szasz", (2, 2.5), "order m must be a positive integer"),
     ("hermite_half", (2, 2.5), "order_max must be an integer"),
     ("kernel", (0.05, float("inf")), "bandwidth must be positive and finite"),
@@ -597,6 +597,8 @@ def test_normality_chunks_equal_the_per_row_fits(beta33, spec, monkeypatch):
     ("beta33", {"kind": "kernel", "h": float("inf")}, ValueError, "bandwidth must be positive"),
     ("exp2", {"kind": "szasz", "m": 2 ** 52}, ValueError, r"limit 2\*\*53"),
     ("beta33", {"kind": ["szasz"]}, ValueError, "unknown estimator kind"),
+    ("beta33", {"kind": "hermite_half", "N": 3, "clip": True}, ValueError,
+     "unknown estimator spec keys: 'clip'"),
 ])
 def test_normality_experiment_error_paths(request, dist, spec, error, message):
     # the errors the per-row fits raised, from the one spec parser and checks
@@ -621,7 +623,7 @@ def test_normality_hermite_memory_is_bounded(beta33):
 
 def test_normality_experiment_rejects_empty_sizes(beta33):
     for n, reps in ((500, 0), (500, -1), (0, 100)):
-        with pytest.raises(ValueError, match="n and M must be >= 1"):
+        with pytest.raises(ValueError, match="[nM] must be a positive integer"):
             normality_experiment(beta33, {"kind": "edf"}, 0.4, n, reps, master_seed=0)
 
 

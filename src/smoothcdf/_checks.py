@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def _float(v):
     try:
@@ -18,12 +20,15 @@ def _float(v):
 
 
 def integer(name, v, lo=1):
-    """v as an int >= lo; integral floats such as 2.0 count, 2.5, NaN and inf do not."""
+    """v as an int >= lo; integral floats such as 2.0 count, 2.5, NaN and inf do not.
+
+    Integers, NumPy's too, come back exact past 2**53, as 64-bit seeds need.
+    """
     f = _float(v)
     if not (f.is_integer() and f >= lo):
         raise ValueError(f"{name} must be a positive integer" if lo == 1
                          else f"{name} must be an integer >= {lo}")
-    return int(f)
+    return int(v) if isinstance(v, (int, np.integer)) else int(f)
 
 
 def positive(name, v):

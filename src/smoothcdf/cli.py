@@ -21,6 +21,7 @@ import time
 from pathlib import Path
 
 from . import __version__
+from ._checks import integer
 from .asymptotics import c_opt, c_star, m_opt_mise, m_opt_mse, mise_constants, pointwise_coeffs
 from .estimators import KINDS, fit_from_spec
 from .models import distribution_from_spec
@@ -134,7 +135,7 @@ def _sweep_config(raw):
             param_grid=tuple(raw["param_grid"]),
             n=raw["n"],
             M=raw.get("M", 10_000),
-            master_seed=int(raw.get("master_seed", 0)),
+            master_seed=integer("master_seed", raw.get("master_seed", 0), lo=0),
             quadrature_nodes=raw.get("quadrature_nodes", 512),
             standardize=bool(raw.get("standardize", False)),
         )
@@ -146,7 +147,7 @@ def cmd_sweep(args):
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     raw = _read_json(args.config)
     config = _sweep_config(raw)
-    result = parameter_sweep(config, workers=args.workers)
+    result = parameter_sweep(config, workers=integer("workers", args.workers))
 
     out_dir = _ensure_dir(args.out_dir)
     csv_path = out_dir / "sweep.csv"
@@ -177,12 +178,12 @@ def cmd_normality(args):
         x = float(raw["x"])
         n = raw["n"]
         m_reps = raw.get("M", 10_000)
-        master_seed = int(raw.get("master_seed", 0))
+        master_seed = integer("master_seed", raw.get("master_seed", 0), lo=0)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad normality config: {exc}") from exc
     try:
         result = normality_experiment(dist, estimator, x, n, m_reps, master_seed,
-                                      workers=args.workers)
+                                      workers=integer("workers", args.workers))
     except KeyError as exc:
         raise ConfigError(f"estimator spec is missing {exc}") from exc
 

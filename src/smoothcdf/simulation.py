@@ -29,9 +29,10 @@ integrals), fans the columns out over ``workers`` threads, and each column
 takes its repetitions in bounded chunks.  Kernel, Bernstein and Hermite
 columns apply the row-axis formulas of ``estimators``; the Szasz column is
 this module's Poisson series form over blocks of 64 quadrature nodes,
-each banded by theory.truncation_floor and theory.truncation_index, its
-Poisson weights built in place once per column, and tested against the
-fitted incomplete-gamma form.  The normality experiment
+each banded by theory.truncation_floor and theory.truncation_index, the
+exponent k log z - z - log k! of its Poisson weights one rank-3 product
+[k, 1, -log k!] @ [log z; -z; 1], and tested against the fitted
+incomplete-gamma form.  The normality experiment
 reads Fhat(x) of every repetition through ``estimators.evaluate_rows``, the
 same row-axis formulas over chunks of repetitions, with no fitted object
 per row.
@@ -283,6 +284,7 @@ def normality_experiment(dist, estimator_spec, x, n, M, master_seed, workers=1):
     the calling thread.  The values do not depend on ``workers``.
     """
     n, M = integer("n", n), integer("M", M)
+    estimators._parse_spec(estimator_spec, dist)  # a bad spec fails before the draw
     x = float(x)
     fx = float(dist.cdf(x))
     if not 0.0 < fx < 1.0:
@@ -354,11 +356,9 @@ def _ise_szasz(samples, param, u, w, x_nodes):
     # where their Poisson weights live (under 1e-30 is left out on each side)
     n, m = samples.shape[1], int(param)
     z = m * x_nodes
-    log_z = np.log(z)
     c_max = max(1, math.ceil(m * float(samples.max())))
     tail = sp.gammainc(float(c_max + 1), z)
-    k = np.arange(c_max + 1, dtype=float)[:, None]
-    log_fact = sp.gammaln(k + 1.0)
+    left, right = _poisson_exponent_factors(c_max, z)
     node_blocks = [slice(j, j + _NODE_BLOCK) for j in range(0, z.size, _NODE_BLOCK)]
     # each block's band and weights, kept for the later chunks when the rows
     # span several; one chunk uses each block once and holds one at a time
@@ -367,10 +367,7 @@ def _ise_szasz(samples, param, u, w, x_nodes):
     def band_weights(cols):
         lo = truncation_floor(z[cols][0])
         band = slice(lo, max(lo, min(truncation_index(z[cols][-1]), c_max) + 1))
-        # k log z - z - log k!, built in one buffer
-        e = k[band] * log_z[cols]
-        e -= z[cols]
-        e -= log_fact[band]
+        e = left[band] @ right[:, cols]
         return band, np.exp(e, out=e)
 
     def fhat_rows(rows):
@@ -388,6 +385,16 @@ def _ise_szasz(samples, param, u, w, x_nodes):
     # counts; then the cumulative counts, Fhat, its scaled copy and its error
     width = max(2 * (n + c_max + 1), c_max + 1 + 3 * z.size)
     return _ise_in_chunks(fhat_rows, samples, width, u, w)
+
+
+def _poisson_exponent_factors(c_max, z):
+    # the log Poisson weights k log z - z - log k!, k = 0..c_max, as the
+    # rank-3 product left @ right of [k, 1, -log k!] and [log z; -z; 1].  The
+    # factors 1 are exact, so a product that sums its three terms in order
+    # rounds as special.poisson_log_pmf's k log z, then - z, then - log k!
+    k = np.arange(c_max + 1, dtype=float)
+    return (np.stack([k, np.ones_like(k), -sp.gammaln(k + 1.0)], axis=1),
+            np.stack([np.log(z), -z, np.ones_like(z)]))
 
 
 def _ise_bernstein(samples, param, u, w, x_nodes):

@@ -29,6 +29,9 @@ def test_integer_takes_integral_values_of_any_number_type():
         assert type(integer("n", value)) is int
     assert integer("order_max", 0, lo=0) == 0
     assert integer("quadrature_nodes", 2, lo=2) == 2
+    # integers past 2**53, such as 64-bit seeds, come back exact
+    for value in (2**64 - 1, np.uint64(2**64 - 1), 2**53 + 1):
+        assert integer("master_seed", value, lo=0) == int(value)
 
 
 @pytest.mark.parametrize("value", [2.5, math.nan, math.inf, -math.inf, 0, -1, None, "x"])

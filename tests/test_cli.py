@@ -227,8 +227,16 @@ _NORMALITY = {"dist": {"kind": "beta", "alpha": 3, "beta": 3},
     ["sweep", "--config", {**_SWEEP, "estimator_family": "szasz", "n": 2.5}],
     ["normality", "--config", {**_NORMALITY, "n": 30.7}],
     ["normality", "--config", {**_NORMALITY, "estimator": {"kind": "edf", "clip": True}}],
+    ["sweep", "--config", {**_SWEEP, "estimator_family": "szasz", "master_seed": 1.7}],
+    ["sweep", "--config", {**_SWEEP, "estimator_family": "szasz", "master_seed": -1}],
+    ["normality", "--config", {**_NORMALITY, "master_seed": 1.7}],
+    ["sweep", "--config", {**_SWEEP, "estimator_family": "szasz"}, "--workers", "0"],
+    ["sweep", "--config", {**_SWEEP, "estimator_family": "szasz"}, "--workers", "-4"],
+    ["normality", "--config", _NORMALITY, "--workers", "0"],
 ], ids=["n=0", "a<0", "a=0", "no rate", "bernstein on the half line", "x=nan", "x=inf",
-        "a=nan", "rate=nan", "sweep n=2.5", "normality n=30.7", "normality clip"])
+        "a=nan", "rate=nan", "sweep n=2.5", "normality n=30.7", "normality clip",
+        "sweep seed=1.7", "sweep seed=-1", "normality seed=1.7", "sweep workers=0",
+        "sweep workers=-4", "normality workers=0"])
 def test_invalid_input_exits_2_with_one_message(tmp_path, capsys, argv):
     # each of these ended in a traceback with exit code 1, or ran: NaN x and a
     # were written out, and n = 2.5 or 30.7 ran at n = 2 or 30

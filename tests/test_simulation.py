@@ -30,7 +30,12 @@ from smoothcdf import (
     simulation,
     szasz_fit,
 )
-from smoothcdf.simulation import _ise_matrix, repetition_seed, samples_matrix
+from smoothcdf.simulation import (
+    _NODE_BLOCK, _ise_matrix, _poisson_exponent_factors, _unit_nodes, repetition_seed,
+    samples_matrix,
+)
+from smoothcdf.special import poisson_log_pmf
+from smoothcdf.theory import truncation_floor, truncation_index
 
 
 class _Oracle:
@@ -172,6 +177,24 @@ def test_szasz_sweep_memory_is_bounded_at_large_order(exp2):
     for i in range(3):
         assert mat[i, 0] == pytest.approx(small[i, 0], rel=1e-10)
         assert mat[i, 0] == pytest.approx(ise(szasz_fit(rows[i], 20000), exp2), abs=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 4000), x_max=st.floats(0.05, 12.0), rate=st.floats(0.2, 5.0),
+       block=st.integers(0, 512 // _NODE_BLOCK - 1))
+def test_szasz_sweep_exponent_equals_poisson_log_pmf(m, x_max, rate, block):
+    # the Szasz sweep's rank-3 product on one node block's band, from a few
+    # rows to thousands, rounds as poisson_log_pmf's k log z - z - log k!
+    # does: a matrix product that summed its three terms out of order would
+    # differ
+    z = m * make_exponential(rate).quantile(_unit_nodes(512)[0])
+    c_max = max(1, math.ceil(m * x_max))
+    left, right = _poisson_exponent_factors(c_max, z)
+    cols = slice(block * _NODE_BLOCK, (block + 1) * _NODE_BLOCK)
+    band = slice(truncation_floor(z[cols][0]), min(truncation_index(z[cols][-1]), c_max) + 1)
+    k = np.arange(c_max + 1, dtype=float)[band, None]
+    want = poisson_log_pmf(k, z[None, cols])
+    assert (left[band] @ right[:, cols]).tobytes() == want.tobytes()
 
 
 def test_bernstein_sweep_memory_is_bounded_at_large_order(beta33):
@@ -604,6 +627,15 @@ def test_normality_experiment_error_paths(request, dist, spec, error, message):
     # the errors the per-row fits raised, from the one spec parser and checks
     with pytest.raises(error, match=message):
         normality_experiment(request.getfixturevalue(dist), spec, 0.4, 50, 20, master_seed=0)
+
+
+def test_normality_rejects_a_bad_spec_before_drawing(beta33):
+    # the spec is parsed first, so the rejected run neither draws nor
+    # replaces the kept matrix
+    kept = samples_matrix(beta33, 1, 5, 40)
+    with pytest.raises(ValueError, match="unknown estimator spec keys: 'clip'"):
+        normality_experiment(beta33, {"kind": "edf", "clip": True}, 0.4, 60, 20, master_seed=2)
+    assert simulation._last_draw[3] is kept
 
 
 def test_normality_hermite_memory_is_bounded(beta33):

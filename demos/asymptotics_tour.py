@@ -35,7 +35,7 @@ print(f"  m_opt for the integrated error: {mise_opt.m_opt:.1f}")
 
 print("\ndeficiency: extra observations the step estimator needs to keep up")
 for c in (0.5 * sc.c_opt(consts), sc.c_opt(consts), 2.0 * sc.c_opt(consts)):
-    d = sc.deficiency_asymptotic(consts, n, "global", "b", c=c)
+    d = sc.deficiency_asymptotic(consts, n, c=c)
     print(f"  order = {c:.3f} n^(2/3): deficiency ~ {d:.1f}")
 print(f"  threshold c* = {sc.c_star(consts):.4f}, maximizer c_opt = {sc.c_opt(consts):.4f} "
       f"= 2^(4/3) c*")

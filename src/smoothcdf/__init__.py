@@ -34,7 +34,6 @@ from .estimators import (
     szasz_fit,
 )
 from .models import (
-    MixtureSpec,
     TrueDistribution,
     distribution_from_spec,
     make_beta,

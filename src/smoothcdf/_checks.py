@@ -1,8 +1,9 @@
 """The scalar argument checks every module shares.
 
-Each check converts its value to a Python number, rejects NaN and the
-infinities, and raises one ValueError that names the argument.  A value
-that does not convert at all is rejected the same way.
+Each number check converts its value to a Python number, rejects NaN and
+the infinities, and raises one ValueError that names the argument.  A
+value that does not convert at all is rejected the same way.  ``flag``
+takes a bool and nothing else.
 """
 
 from __future__ import annotations
@@ -45,3 +46,10 @@ def nonnegative(name, v):
     if not 0.0 <= f < math.inf:
         raise ValueError(f"{name} must be >= 0 and finite")
     return f
+
+
+def flag(name, v):
+    """v if it is a bool; 1, "false" and None are not."""
+    if not isinstance(v, bool):
+        raise ValueError(f"{name} must be true or false")
+    return v

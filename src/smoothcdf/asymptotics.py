@@ -172,34 +172,28 @@ def c_opt(consts):
     return (4.0 * consts.C3 / consts.C2) ** (2.0 / 3.0)
 
 
-def deficiency_asymptotic(coeffs_or_consts, n, regime, mode, c=None, m=None):
+def deficiency_asymptotic(coeffs_or_consts, n, c=None, m=None):
     """Leading-order extra observations the step estimator needs.
 
-    regime 'local' takes PointwiseCoeffs, 'global' takes MiseConstants.
-    mode 'a' (order far above n^(2/3)) needs ``m`` and returns
-    m^(-1/2) n theta; mode 'b' (order = c n^(2/3)) needs ``c`` and returns
-    n^(2/3) (c^(-1/2) theta - c^(-2) gamma), with (theta, gamma) the local
-    ratios or (C2/C1, C3/C1).
+    Local for PointwiseCoeffs, global for MiseConstants.  Given the order
+    ``m`` (far above n^(2/3)) it returns m^(-1/2) n theta; given ``c``
+    (order = c n^(2/3)) it returns n^(2/3) (c^(-1/2) theta - c^(-2) gamma),
+    with (theta, gamma) the local ratios or (C2/C1, C3/C1).  Exactly one of
+    m and c is given.
     """
     n = integer("n", n)
-    if regime == "local":
-        coeffs = coeffs_or_consts
-        theta, gamma = coeffs.thetaS, coeffs.gammaS
-        if not (math.isfinite(theta) and math.isfinite(gamma)):
-            raise ValueError("local deficiency undefined where F(x) is 0 or 1")
-    elif regime == "global":
+    if (m is None) == (c is None):
+        raise ValueError("deficiency needs exactly one of the order m and the constant c")
+    if isinstance(coeffs_or_consts, MiseConstants):
         consts = coeffs_or_consts
         theta, gamma = consts.C2 / consts.C1, consts.C3 / consts.C1
+    elif isinstance(coeffs_or_consts, PointwiseCoeffs):
+        theta, gamma = coeffs_or_consts.thetaS, coeffs_or_consts.gammaS
+        if not (math.isfinite(theta) and math.isfinite(gamma)):
+            raise ValueError("local deficiency undefined where F(x) is 0 or 1")
     else:
-        raise ValueError("regime must be 'local' or 'global'")
-
-    if mode == "a":
-        if m is None:
-            raise ValueError("mode 'a' needs a positive order m")
+        raise TypeError("deficiency needs PointwiseCoeffs or MiseConstants")
+    if m is not None:
         return n * theta / math.sqrt(integer("order m", m))
-    if mode == "b":
-        if c is None:
-            raise ValueError("mode 'b' needs a positive constant c")
-        c = positive("c", c)
-        return n ** (2.0 / 3.0) * (theta / math.sqrt(c) - gamma / c**2)
-    raise ValueError("mode must be 'a' or 'b'")
+    c = positive("c", c)
+    return n ** (2.0 / 3.0) * (theta / math.sqrt(c) - gamma / c**2)

@@ -2,9 +2,18 @@
 
 Commands: estimate, sweep, normality, asymptotics, theory-check.
 Experiment commands read JSON configs (reproducible), one-shot estimation
-takes flags.  Every command writes its data files plus a run manifest
-(config digest, seed, version, timestamps, output paths) into --out-dir.
-Exit codes: 0 success, 1 check failure, 2 usage or config error.
+takes flags.  Every command ends in ``_write_run``: its data files, its
+stdout, then a run manifest (config digest, seed, version, timestamps,
+output paths) in --out-dir.  Exit codes: 0 success, 1 check failure, 2
+usage or config error: a ValueError, or a TypeError from a config key the
+command does not take, a required one it lacks or a value of the wrong
+type.
+
+Each config is read by the library's own constructors and checks: a sweep
+config's keys are ``ExperimentConfig``'s fields, a normality config's the
+arguments of ``_normality_run``, and the distribution and estimator specs
+inside them are parsed by ``distribution_from_spec`` and the estimators'
+spec parser, which name a missing or unknown key.
 
 Floats are serialized as shortest round-trip decimals, so rereading a CSV
 reproduces the binary values exactly.
@@ -28,9 +37,7 @@ from .models import distribution_from_spec
 from .simulation import ExperimentConfig, normality_experiment, parameter_sweep
 from .theory import run_theory_checks
 
-
-class ConfigError(ValueError):
-    """Bad config file, sample file or estimator spec (exit code 2)."""
+_STAMP = "%Y-%m-%dT%H:%M:%S%z"  # the manifest's timestamps
 
 
 def _fmt(x):
@@ -46,19 +53,24 @@ def _digest(obj):
     return hashlib.sha256(payload).hexdigest()
 
 
-def _write_manifest(out_dir, command, config_obj, master_seed, outputs, started):
+def _write_run(args, config, master_seed, files, stdout):
+    # a run's data files ({name: text}, in order), its stdout, then its manifest
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
+    print(stdout)
     manifest = {
-        "command": command,
-        "config_digest": _digest(config_obj),
+        "command": args.command,
+        "config_digest": _digest(config),
         "master_seed": master_seed,
         "version": __version__,
-        "started_at": started,
-        "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "outputs": [str(p) for p in outputs],
+        "started_at": args.started_at,
+        "finished_at": time.strftime(_STAMP),
+        "outputs": [str(out_dir / name) for name in files],
     }
-    path = Path(out_dir) / f"{command.replace('-', '_')}_manifest.json"
+    path = out_dir / f"{args.command.replace('-', '_')}_manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    return path
 
 
 def _read_sample_file(path):
@@ -66,7 +78,7 @@ def _read_sample_file(path):
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
-        raise ConfigError(f"cannot read sample file {path}: {exc}") from exc
+        raise ValueError(f"cannot read sample file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
@@ -74,17 +86,20 @@ def _read_sample_file(path):
         try:
             values.append(float(text))
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: not a decimal literal: {text!r}") from exc
+            raise ValueError(f"{path}:{lineno}: not a decimal literal: {text!r}") from exc
     if not values:
-        raise ConfigError(f"{path}: no observations found")
+        raise ValueError(f"{path}: no observations found")
     return values
 
 
 def _read_json(path):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot parse JSON config {path}: {exc}") from exc
+        raise ValueError(f"cannot parse JSON config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ValueError(f"JSON config {path} must be an object")
+    return config
 
 
 def _estimator_spec_from_args(args):
@@ -97,120 +112,78 @@ def _estimator_spec_from_args(args):
 
 
 def cmd_estimate(args):
-    started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     values = _read_sample_file(args.sample)
     spec = _estimator_spec_from_args(args)
     if args.points is not None:
         try:
             points = [float(t) for t in args.points.split(",") if t.strip()]
         except ValueError as exc:
-            raise ConfigError(f"bad --points list: {exc}") from exc
+            raise ValueError(f"bad --points list: {exc}") from exc
     else:
         points = _read_sample_file(args.points_file)
     if not points:
-        raise ConfigError("no evaluation points given")
-    try:
-        fit = fit_from_spec(spec, values)
-        estimates = [float(fit.evaluate(float(x))) for x in points]
-    except KeyError as exc:
-        raise ConfigError(f"estimator spec is missing {exc}") from exc
-
-    rows = ["x,F_hat"] + [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(points, estimates)]
-    out_dir = _ensure_dir(args.out_dir)
-    csv_path = out_dir / "estimate.csv"
-    csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    print("\n".join(rows))
-    _write_manifest(out_dir, "estimate",
-                    {"sample": str(args.sample), "estimator": spec, "points": points},
-                    None, [csv_path], started)
+        raise ValueError("no evaluation points given")
+    fit = fit_from_spec(spec, values)
+    rows = "\n".join(["x,F_hat"] + [f"{_fmt(x)},{_fmt(fit.evaluate(x))}" for x in points])
+    _write_run(args, {"sample": str(args.sample), "estimator": spec, "points": points}, None,
+               {"estimate.csv": rows + "\n"}, rows)
     return 0
 
 
-def _sweep_config(raw):
-    try:
-        dist = distribution_from_spec(raw["dist"])
-        return ExperimentConfig(
-            dist=dist,
-            estimator_family=raw["estimator_family"],
-            param_grid=tuple(raw["param_grid"]),
-            n=raw["n"],
-            M=raw.get("M", 10_000),
-            master_seed=integer("master_seed", raw.get("master_seed", 0), lo=0),
-            quadrature_nodes=raw.get("quadrature_nodes", 512),
-            standardize=bool(raw.get("standardize", False)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad sweep config: {exc}") from exc
+def _sweep_config(dist, **fields):
+    # the other keys of a sweep config are ExperimentConfig's fields, whose
+    # defaults and checks are the only ones
+    return ExperimentConfig(distribution_from_spec(dist), **fields)
 
 
 def cmd_sweep(args):
-    started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     raw = _read_json(args.config)
-    config = _sweep_config(raw)
+    config = _sweep_config(**raw)
     result = parameter_sweep(config, workers=integer("workers", args.workers))
-
-    out_dir = _ensure_dir(args.out_dir)
-    csv_path = out_dir / "sweep.csv"
     lines = ["param,mise,se"]
     lines += [f"{_fmt(p)},{_fmt(v)},{_fmt(s)}"
               for p, v, s in zip(result.params, result.mise, result.se)]
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
     summary = {
         "argmin_param": result.argmin_param,
         "argmin_mise": result.argmin_mise,
         "se": result.argmin_se,
     }
-    summary_path = out_dir / "sweep_summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    print(json.dumps(summary))
-    _write_manifest(out_dir, "sweep", raw, config.master_seed,
-                    [csv_path, summary_path], started)
+    _write_run(args, raw, config.master_seed,
+               {"sweep.csv": "\n".join(lines) + "\n",
+                "sweep_summary.json": json.dumps(summary, indent=2) + "\n"},
+               json.dumps(summary))
     return 0
 
 
-def cmd_normality(args):
-    started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    raw = _read_json(args.config)
-    try:
-        dist = distribution_from_spec(raw["dist"])
-        estimator = dict(raw["estimator"])
-        x = float(raw["x"])
-        n = raw["n"]
-        m_reps = raw.get("M", 10_000)
-        master_seed = integer("master_seed", raw.get("master_seed", 0), lo=0)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad normality config: {exc}") from exc
-    try:
-        result = normality_experiment(dist, estimator, x, n, m_reps, master_seed,
-                                      workers=integer("workers", args.workers))
-    except KeyError as exc:
-        raise ConfigError(f"estimator spec is missing {exc}") from exc
+def _normality_run(dist, estimator, x, n, M=10_000, master_seed=0, *, workers):
+    # a normality config's keys are this function's arguments before workers;
+    # returns the result and the checked master seed
+    result = normality_experiment(distribution_from_spec(dist), estimator, x, n, M,
+                                  master_seed, workers)
+    return result, int(master_seed)
 
-    out_dir = _ensure_dir(args.out_dir)
-    csv_path = out_dir / "normality_values.csv"
-    csv_path.write_text("value\n" + "\n".join(_fmt(v) for v in result.values) + "\n",
-                        encoding="utf-8")
+
+def cmd_normality(args):
+    raw = _read_json(args.config)
+    result, master_seed = _normality_run(**raw, workers=integer("workers", args.workers))
     summary = {
         "ks_distance": result.ks_distance,
         "reference_mean": result.reference_mean,
         "reference_sd": result.reference_sd,
     }
-    summary_path = out_dir / "normality_summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    print(json.dumps(summary))
-    _write_manifest(out_dir, "normality", raw, master_seed,
-                    [csv_path, summary_path], started)
+    _write_run(args, raw, master_seed,
+               {"normality_values.csv": "value\n" + "\n".join(map(_fmt, result.values)) + "\n",
+                "normality_summary.json": json.dumps(summary, indent=2) + "\n"},
+               json.dumps(summary))
     return 0
 
 
 def cmd_asymptotics(args):
-    started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     try:
         dist_spec = json.loads(args.dist)
-        dist = distribution_from_spec(dist_spec)
-    except (KeyError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise ConfigError(f"bad --dist spec: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"bad --dist spec: {exc}") from exc
+    dist = distribution_from_spec(dist_spec)
     x, n, a = args.x, args.n, args.a
     coeffs = pointwise_coeffs(dist, x)
     consts = mise_constants(dist, a)
@@ -234,33 +207,19 @@ def cmd_asymptotics(args):
         "c_star": c_star(consts),
         "c_opt": c_opt(consts),
     }
-    out_dir = _ensure_dir(args.out_dir)
-    path = out_dir / "asymptotics.json"
-    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    print(json.dumps(report))
-    _write_manifest(out_dir, "asymptotics",
-                    {"dist": dist_spec, "x": x, "n": n, "a": a}, None, [path], started)
+    _write_run(args, {"dist": dist_spec, "x": x, "n": n, "a": a}, None,
+               {"asymptotics.json": json.dumps(report, indent=2) + "\n"}, json.dumps(report))
     return 0
 
 
 def cmd_theory_check(args):
-    started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     report = run_theory_checks(args.level)
-    out_dir = _ensure_dir(args.out_dir)
-    path = out_dir / "theory_check.json"
-    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    for check in report["checks"]:
-        status = "pass" if check["passed"] else "FAIL"
-        print(f"[{status}] {check['name']}: observed={check['observed']:.12g} "
-              f"predicted={check['predicted']:.12g}")
-    _write_manifest(out_dir, "theory-check", {"level": args.level}, None, [path], started)
+    lines = [f"[{'pass' if check['passed'] else 'FAIL'}] {check['name']}: "
+             f"observed={check['observed']:.12g} predicted={check['predicted']:.12g}"
+             for check in report["checks"]]
+    _write_run(args, {"level": args.level}, None,
+               {"theory_check.json": json.dumps(report, indent=2) + "\n"}, "\n".join(lines))
     return 0 if report["passed"] else 1
-
-
-def _ensure_dir(out_dir):
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def build_parser():
@@ -314,9 +273,10 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started_at = time.strftime(_STAMP)
     try:
         return args.func(args)
-    except ValueError as exc:  # ConfigError too
+    except (TypeError, ValueError) as exc:
         print(f"smoothcdf: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,8 @@ Hermite formulas are functions over a leading row axis of samples
 sweeps in ``simulation`` pass chunks of repetitions.  ``evaluate_rows``
 reads every row's estimate at one point through these formulas and
 ``_szasz_rows`` without building a fitted object per row; it and
-``fit_from_spec`` share one spec parser, which rejects keys no kind knows.
+``fit_from_spec`` share one spec parser, which rejects keys no kind knows
+and names the kind's parameter when it is missing.
 ``_KINDS`` holds, per kind, the fitted class (whose ``_lower`` and
 ``_upper`` are the family's domain), the spec key of its parameter and that
 parameter's check, one of the shared checks of ``_checks``; the spec parser
@@ -74,7 +75,7 @@ from functools import cached_property, partial
 import numpy as np
 from scipy import special as sp
 
-from ._checks import integer, positive
+from ._checks import flag, integer, positive
 from .special import hermite_basis, hermite_values, poisson_log_pmf
 
 __all__ = [
@@ -96,6 +97,7 @@ __all__ = [
 ]
 
 _X_MAX = 1e6  # quantile bracketing gives up past this point
+_FLOAT_MAX = float(np.finfo(float).max)  # the largest finite float
 _ELEMENT_BUDGET = 250_000  # array elements one chunk of rows or points may allocate
 # eta: a float evaluation of a non-decreasing fit is taken to dip below an
 # earlier point's value by less than this; the certified quantile search
@@ -126,11 +128,14 @@ def _check_sample(x, lower, upper, what="sample"):
 
 
 def _check_points(x, lower, upper):
-    # evaluation points inside an estimator's domain [lower, upper]; NaN
-    # fails both comparisons, so the one test rejects it on every domain
-    if not np.all((x >= lower) & (x <= upper)):
+    # finite evaluation points inside an estimator's domain [lower, upper]; NaN
+    # fails both comparisons and the infinities lie outside the finite floats,
+    # so the one test rejects them on every domain
+    if not np.all((x >= max(lower, -_FLOAT_MAX)) & (x <= min(upper, _FLOAT_MAX))):
         if np.isnan(x).any():
             raise ValueError("evaluation points must not be NaN")
+        if np.isinf(x).any():
+            raise ValueError("evaluation points must be finite")
         if upper < math.inf:
             raise ValueError(f"evaluation points must lie in [{lower:g}, {upper:g}]")
         raise ValueError(f"evaluation points must be >= {lower:g}")
@@ -568,10 +573,12 @@ def _parse_spec(spec, dist=None):
     if unknown:
         raise ValueError(f"unknown estimator spec keys: {', '.join(sorted(map(repr, unknown)))}")
     _, key, check = _KINDS[kind]
+    if key is not None and key not in spec:
+        raise ValueError(f"{kind} spec is missing {key!r}")
     args = () if key is None else (check(spec[key]),)
     if kind == "hermite_half":
         sigma = 1.0
-        if spec.get("standardize", False):
+        if flag("standardize", spec.get("standardize", False)):
             sigma = spec.get("sigma", dist.sd if dist is not None else None)
             if sigma is None:
                 raise ValueError("standardized hermite fit needs sigma (or a model)")

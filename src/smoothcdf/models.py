@@ -28,7 +28,6 @@ from ._checks import integer, positive
 
 __all__ = [
     "TrueDistribution",
-    "MixtureSpec",
     "make_exponential",
     "make_weibull_mixture",
     "make_beta",
@@ -63,23 +62,6 @@ class TrueDistribution:
     _invert: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     # array elements per draw held at once while inverting, uniforms included
     invert_width: int = field(repr=False)
-    spec: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class MixtureSpec:
-    """Weibull mixture components as (weight, shape, scale) triples."""
-
-    components: tuple[tuple[float, float, float], ...]
-
-    def __post_init__(self):
-        comps = tuple((positive("mixture weight", w), positive("Weibull shape", a),
-                       positive("Weibull scale", b)) for w, a, b in self.components)
-        object.__setattr__(self, "components", comps)
-        if not comps:
-            raise ValueError("mixture needs at least one component")
-        if abs(np.sum([c[0] for c in comps]) - 1.0) > 1e-12:
-            raise ValueError("mixture weights must sum to 1")
 
 
 def make_exponential(rate):
@@ -123,7 +105,6 @@ def make_exponential(rate):
         uniforms_per_draw=1,
         _invert=invert,
         invert_width=3,
-        spec={"kind": "exponential", "rate": rate},
     )
 
 
@@ -157,35 +138,37 @@ def _weibull_pdf_prime(x, shape, scale):
     return out
 
 
-def make_weibull_mixture(spec):
-    """Mixture of Weibull(shape, scale) components.
+def make_weibull_mixture(components):
+    """Mixture of Weibull(shape, scale) components, given as an iterable of
+    (weight, shape, scale) triples whose weights sum to 1.
 
-    ``spec`` is a MixtureSpec or an iterable of (weight, shape, scale)
-    triples.  Weibull(1, 1) is the unit exponential, so a single
-    (1.0, 1, 1) component reduces to Exp(1).
+    Weibull(1, 1) is the unit exponential, so a single (1.0, 1, 1)
+    component reduces to Exp(1).
     """
-    if not isinstance(spec, MixtureSpec):
-        spec = MixtureSpec(tuple(tuple(c) for c in spec))
-    weights = np.array([c[0] for c in spec.components])
-    shapes = np.array([c[1] for c in spec.components])
-    scales = np.array([c[2] for c in spec.components])
+    components = tuple((positive("mixture weight", w), positive("Weibull shape", a),
+                        positive("Weibull scale", b)) for w, a, b in components)
+    if not components:
+        raise ValueError("mixture needs at least one component")
+    weights, shapes, scales = (np.array(column) for column in zip(*components))
+    if abs(np.sum(weights) - 1.0) > 1e-12:
+        raise ValueError("mixture weights must sum to 1")
     cumw = np.cumsum(weights)
 
     def cdf(x):
         x = np.asarray(x, dtype=float)
-        parts = [w * -np.expm1(-_weibull_hazard(x, a, b)) for w, a, b in spec.components]
+        parts = [w * -np.expm1(-_weibull_hazard(x, a, b)) for w, a, b in components]
         return np.sum(parts, axis=0)
 
     def sf(x):
-        parts = [w * np.exp(-_weibull_hazard(x, a, b)) for w, a, b in spec.components]
+        parts = [w * np.exp(-_weibull_hazard(x, a, b)) for w, a, b in components]
         return np.sum(parts, axis=0)
 
     def pdf(x):
-        parts = [w * _weibull_pdf(x, a, b) for w, a, b in spec.components]
+        parts = [w * _weibull_pdf(x, a, b) for w, a, b in components]
         return np.sum(parts, axis=0)
 
     def pdf_prime(x):
-        parts = [w * _weibull_pdf_prime(x, a, b) for w, a, b in spec.components]
+        parts = [w * _weibull_pdf_prime(x, a, b) for w, a, b in components]
         return np.sum(parts, axis=0)
 
     def quantile(p):
@@ -223,7 +206,7 @@ def make_weibull_mixture(spec):
     mean = float(np.sum(weights * means))
     var = float(np.sum(weights * second) - mean**2)
 
-    name = "+".join(f"{w:g}*Weibull({a:g},{b:g})" for w, a, b in spec.components)
+    name = "+".join(f"{w:g}*Weibull({a:g},{b:g})" for w, a, b in components)
     return TrueDistribution(
         name=name,
         support=(0.0, math.inf),
@@ -237,7 +220,6 @@ def make_weibull_mixture(spec):
         uniforms_per_draw=2,
         _invert=invert,
         invert_width=7,
-        spec={"kind": "weibull_mixture", "components": [list(c) for c in spec.components]},
     )
 
 
@@ -292,7 +274,6 @@ def make_beta(alpha, beta):
         uniforms_per_draw=1,
         _invert=invert,
         invert_width=2,
-        spec={"kind": "beta", "alpha": alpha, "beta": beta},
     )
 
 
@@ -330,10 +311,18 @@ def _fill_uniforms(seeds, out):
         rng.random(out=row)
 
 
+# kind: (factory, the spec keys of its arguments in order)
+_FACTORIES = {
+    "exponential": (make_exponential, ("rate",)),
+    "weibull_mixture": (make_weibull_mixture, ("components",)),
+    "beta": (make_beta, ("alpha", "beta")),
+}
+
+
 def distribution_from_spec(spec):
     """Build a TrueDistribution from its JSON config form.
 
-    Accepted shapes:
+    Accepted shapes, with exactly these keys:
         {"kind": "exponential", "rate": 2}
         {"kind": "weibull_mixture", "components": [[0.5, 1, 1], [0.5, 4, 4]]}
         {"kind": "beta", "alpha": 3, "beta": 3}
@@ -341,13 +330,16 @@ def distribution_from_spec(spec):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("distribution spec must be a dict with a 'kind' key")
     kind = spec["kind"]
-    if kind == "exponential":
-        return make_exponential(spec["rate"])
-    if kind == "weibull_mixture":
-        return make_weibull_mixture(spec["components"])
-    if kind == "beta":
-        return make_beta(spec["alpha"], spec["beta"])
-    raise ValueError(f"unknown distribution kind: {kind!r}")
+    if kind not in tuple(_FACTORIES):  # a tuple, so an unhashable kind is no TypeError
+        raise ValueError(f"unknown distribution kind: {kind!r}")
+    factory, keys = _FACTORIES[kind]
+    unknown = set(spec) - {"kind", *keys}
+    if unknown:
+        raise ValueError(f"unknown {kind} spec keys: {', '.join(sorted(map(repr, unknown)))}")
+    for key in keys:
+        if key not in spec:
+            raise ValueError(f"{kind} spec is missing {key!r}")
+    return factory(*(spec[key] for key in keys))
 
 
 def _check_prob(p):

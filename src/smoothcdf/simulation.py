@@ -49,7 +49,7 @@ import numpy as np
 from scipy import special as sp
 
 from . import estimators, models
-from ._checks import integer
+from ._checks import flag, integer
 from .estimators import (
     _KINDS, KINDS, EmpiricalCDF, _bernstein_rows, _bernstein_survival, _check_sample,
     _hermite_coefficients, _in_chunks, _kernel_rows, _row_bincount, _szasz_orders,
@@ -86,7 +86,10 @@ _last_draw = None  # (dist, seed, n, rows) of the most recent samples_matrix dra
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep: a model, an estimator family and its parameter grid."""
+    """One sweep: a model, an estimator family and its parameter grid.
+
+    The fields are the keys of a sweep config; their defaults are the only ones.
+    """
 
     dist: models.TrueDistribution
     estimator_family: str
@@ -108,8 +111,9 @@ class ExperimentConfig:
         for p in grid:  # the fit's own check of its parameter
             _KINDS[self.estimator_family][2](p)
         object.__setattr__(self, "param_grid", grid)
-        for name, lo in (("n", 1), ("M", 1), ("quadrature_nodes", 2)):
+        for name, lo in (("n", 1), ("M", 1), ("quadrature_nodes", 2), ("master_seed", 0)):
             object.__setattr__(self, name, integer(name, getattr(self, name), lo))
+        flag("standardize", self.standardize)
 
 
 @dataclass(frozen=True)
@@ -284,6 +288,7 @@ def normality_experiment(dist, estimator_spec, x, n, M, master_seed, workers=1):
     the calling thread.  The values do not depend on ``workers``.
     """
     n, M = integer("n", n), integer("M", M)
+    master_seed = integer("master_seed", master_seed, lo=0)
     estimators._parse_spec(estimator_spec, dist)  # a bad spec fails before the draw
     x = float(x)
     fx = float(dist.cdf(x))

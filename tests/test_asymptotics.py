@@ -127,22 +127,25 @@ def test_deficiency_branches(exp2):
     mc = mise_constants(exp2, 1.0)
     n = 10**4
     # mode (b) at the threshold constant: global deficiency is exactly zero
-    assert deficiency_asymptotic(mc, n, "global", "b", c=c_star(mc)) == pytest.approx(0.0, abs=1e-9)
+    assert deficiency_asymptotic(mc, n, c=c_star(mc)) == pytest.approx(0.0, abs=1e-9)
     # analytic optimum equals 2^(4/3) times the threshold
     assert c_opt(mc) == pytest.approx(2.0 ** (4.0 / 3.0) * c_star(mc), rel=1e-12)
     cs = np.geomspace(0.02, 50.0, 400_001)
     g = mc.C2 / mc.C1 / np.sqrt(cs) - mc.C3 / mc.C1 / cs**2
     assert cs[np.argmax(g)] == pytest.approx(c_opt(mc), rel=1e-2)
     # local maximality of the optimum
-    best = deficiency_asymptotic(mc, n, "global", "b", c=c_opt(mc))
-    assert best >= deficiency_asymptotic(mc, n, "global", "b", c=0.5 * c_opt(mc))
-    assert best >= deficiency_asymptotic(mc, n, "global", "b", c=2.0 * c_opt(mc))
+    best = deficiency_asymptotic(mc, n, c=c_opt(mc))
+    assert best >= deficiency_asymptotic(mc, n, c=0.5 * c_opt(mc))
+    assert best >= deficiency_asymptotic(mc, n, c=2.0 * c_opt(mc))
     # mode (a) linearity in theta
-    base = deficiency_asymptotic(co, n, "local", "a", m=n)
+    base = deficiency_asymptotic(co, n, m=n)
     doubled = type(co)(co.x, co.sigma2, co.bS, 2.0 * co.VS, 2.0 * co.thetaS, co.gammaS)
-    assert deficiency_asymptotic(doubled, n, "local", "a", m=n) == pytest.approx(2.0 * base)
-    with pytest.raises(ValueError):
-        deficiency_asymptotic(co, n, "local", "b")  # missing c
+    assert deficiency_asymptotic(doubled, n, m=n) == pytest.approx(2.0 * base)
+    # local or global follows from the argument's type; exactly one of m and c
+    with pytest.raises(ValueError, match="exactly one of"):
+        deficiency_asymptotic(co, n)  # neither m nor c
+    with pytest.raises(ValueError, match="exactly one of"):
+        deficiency_asymptotic(mc, n, c=1.0, m=n)  # both
     nan_co = type(co)(5.0, 0.0, 0.1, 0.1, math.nan, math.nan)
     with pytest.raises(ValueError):
-        deficiency_asymptotic(nan_co, n, "local", "b", c=1.0)
+        deficiency_asymptotic(nan_co, n, c=1.0)

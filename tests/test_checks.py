@@ -67,11 +67,19 @@ _NAN, _INF = math.nan, math.inf
     ("x", lambda d: pointwise_coeffs(d, _INF)),
     ("a", lambda d: mise_constants(d, _NAN)),
     ("a", lambda d: mise_constants(d, _INF)),
-    ("c", lambda d: deficiency_asymptotic(mise_constants(d, 1.0), 100, "global", "b", c=_NAN)),
+    ("c", lambda d: deficiency_asymptotic(mise_constants(d, 1.0), 100, c=_NAN)),
     ("order m", lambda d: mse_asymptotic(pointwise_coeffs(d, 1.0), 2.5, 10)),
     ("n", lambda d: ExperimentConfig(d, "szasz", (2, 3), n=2.5, M=5)),
     ("M", lambda d: ExperimentConfig(d, "szasz", (2, 3), n=10, M=_NAN)),
     ("n", lambda d: normality_experiment(d, {"kind": "edf"}, 0.4, 2.5, 20, 0)),
+    ("master_seed", lambda d: ExperimentConfig(d, "szasz", (2, 3), n=10, M=5, master_seed=1.7)),
+    ("master_seed", lambda d: ExperimentConfig(d, "szasz", (2, 3), n=10, M=5, master_seed=_NAN)),
+    ("master_seed", lambda d: ExperimentConfig(d, "szasz", (2, 3), n=10, M=5, master_seed=_INF)),
+    ("master_seed", lambda d: ExperimentConfig(d, "szasz", (2, 3), n=10, M=5, master_seed=-1)),
+    ("master_seed", lambda d: normality_experiment(d, {"kind": "edf"}, 0.4, 20, 20, 1.7)),
+    ("master_seed", lambda d: normality_experiment(d, {"kind": "edf"}, 0.4, 20, 20, _INF)),
+    ("standardize", lambda d: ExperimentConfig(d, "hermite_half", (2, 3), n=10, M=5,
+                                               standardize="false")),
     ("x", lambda d: L_m(10, _NAN)),
     ("x", lambda d: L_m(10, _INF)),
     ("x", lambda d: R_j(10, _NAN, 1)),
@@ -85,6 +93,7 @@ _NAN, _INF = math.nan, math.inf
 def test_invalid_arguments_raise_one_error_naming_them(exp2, name, call):
     # each of these used to run, return NaN, or fail with an error that named
     # nothing ("cannot convert float NaN to integer", OverflowError, or a
-    # RuntimeError after weighted_L_integral's full loop)
+    # RuntimeError after weighted_L_integral's full loop); a master_seed of
+    # 1.7 swept seed 1, and standardize="false" standardized
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
         call(exp2)

@@ -251,6 +251,74 @@ def test_invalid_input_exits_2_with_one_message(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, data_files", [
+    (["estimate", "--sample", "SAMPLE", "--kind", "szasz", "--m", "5", "--points", "1,2"],
+     ["estimate.csv"]),
+    (["sweep", "--config", _SWEEP | {"dist": {"kind": "beta", "alpha": 3, "beta": 3}},
+      "--workers", "1"], ["sweep.csv", "sweep_summary.json"]),
+    (["normality", "--config", _NORMALITY, "--workers", "1"],
+     ["normality_values.csv", "normality_summary.json"]),
+    (["asymptotics", "--dist", _EXP2, "--x", "1", "--n", "10"], ["asymptotics.json"]),
+    (["theory-check", "--level", "fast"], ["theory_check.json"]),
+], ids=["estimate", "sweep", "normality", "asymptotics", "theory-check"])
+def test_each_command_writes_its_data_files_and_one_manifest_listing_them(
+        tmp_path, capsys, argv, data_files):
+    cfg, sample = tmp_path / "cfg.json", tmp_path / "s.txt"
+    _write_sample(sample, [0.3, 0.6, 0.9])
+    for arg in argv:
+        if isinstance(arg, dict):
+            cfg.write_text(json.dumps(arg), encoding="utf-8")
+    argv = [str(cfg) if isinstance(arg, dict) else str(sample) if arg == "SAMPLE" else arg
+            for arg in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 0
+    manifest_name = f"{argv[0].replace('-', '_')}_manifest.json"
+    assert sorted(p.name for p in out.iterdir()) == sorted(data_files + [manifest_name])
+    manifest = json.loads((out / manifest_name).read_text())
+    assert manifest["command"] == argv[0]
+    assert manifest["outputs"] == [str(out / name) for name in data_files]
+    assert list(manifest) == ["command", "config_digest", "master_seed", "version",
+                              "started_at", "finished_at", "outputs"]
+    assert manifest["started_at"] <= manifest["finished_at"]
+    assert capsys.readouterr().out.endswith("\n")
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["sweep", "--config", {**_SWEEP, "dist": {"kind": "exponential", "rate": 2, "scale": 1}}],
+     "'scale'"),
+    (["asymptotics", "--dist", '{"kind":"exponential","rate":2,"shape":1}', "--x", "1",
+      "--n", "10"], "'shape'"),
+    (["normality", "--config", {**_NORMALITY, "dist": {"kind": "beta", "alpha": 3}}],
+     "beta spec is missing 'beta'"),
+    (["sweep", "--config", {**_SWEEP, "estimator_family": "szasz", "seed": 4}], "'seed'"),
+    (["sweep", "--config", {k: v for k, v in _SWEEP.items() if k != "dist"}],
+     "missing 1 required positional argument: 'dist'"),
+    (["sweep", "--config", {k: v for k, v in _SWEEP.items() if k != "n"}],
+     "missing 1 required positional argument: 'n'"),
+    (["normality", "--config", {**_NORMALITY, "repetitions": 20}], "'repetitions'"),
+    (["normality", "--config", {**_NORMALITY, "workers": 2}], "'workers'"),
+    (["normality", "--config", {k: v for k, v in _NORMALITY.items() if k != "x"}],
+     "missing 1 required positional argument: 'x'"),
+    (["normality", "--config", [_NORMALITY]], "must be an object"),
+], ids=["dist spec unknown key", "asymptotics dist unknown key", "dist spec missing key",
+        "sweep unknown key", "sweep missing dist", "sweep missing n", "normality unknown key",
+        "normality workers key", "normality missing x", "config not an object"])
+def test_config_key_errors_exit_2_naming_the_key(tmp_path, capsys, argv, key):
+    # unknown keys were ignored, and a missing key was a KeyError re-wrapped
+    # as "bad ... config: 'n'"
+    cfg = tmp_path / "cfg.json"
+    for arg in argv:
+        if isinstance(arg, (dict, list)):
+            cfg.write_text(json.dumps(arg), encoding="utf-8")
+    argv = [str(cfg) if isinstance(arg, (dict, list)) else arg for arg in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("smoothcdf: ") and err.count("\n") == 1, err
+    assert key in err
+    assert not out.exists()
+
+
 def test_theory_check_command(tmp_path, capsys):
     assert main(["theory-check", "--level", "fast", "--out-dir", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "theory_check.json").read_text())
@@ -329,9 +397,13 @@ def test_estimate_requires_points(tmp_path, capsys):
 def test_estimate_rejects_nan_points(tmp_path, capsys):
     sample = tmp_path / "s.txt"
     _write_sample(sample, [1.0, 2.0])
-    for kind, extra in (("edf", []), ("szasz", ["--m", "5"]), ("kernel", ["--h", "0.1"])):
-        code = main(["estimate", "--sample", str(sample), "--kind", kind, *extra,
-                     "--points", "1,nan", "--out-dir", str(tmp_path / kind)])
-        assert code == 2
-        assert "must not be NaN" in capsys.readouterr().err
-        assert not (tmp_path / kind / "estimate.csv").exists()
+    for point, message in (("nan", "must not be NaN"), ("inf", "must be finite"),
+                           ("-inf", "must be finite")):
+        for kind, extra in (("edf", []), ("szasz", ["--m", "5"]), ("kernel", ["--h", "0.1"]),
+                            ("hermite_half", ["--N", "5"])):
+            out = tmp_path / point / kind
+            code = main(["estimate", "--sample", str(sample), "--kind", kind, *extra,
+                         "--points", f"1,{point}", "--out-dir", str(out)])
+            assert code == 2
+            assert message in capsys.readouterr().err
+            assert not (out / "estimate.csv").exists()

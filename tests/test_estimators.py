@@ -624,6 +624,27 @@ def test_fit_from_spec(exp2):
         fit_from_spec({"kind": "hermite_half", "N": 3, "clip": True, "bogus": 1}, s)
 
 
+def test_spec_missing_its_parameter_names_it():
+    # a KeyError("'m'") from the spec lookup before
+    s = [0.2, 0.7]
+    for kind, key in (("szasz", "m"), ("bernstein", "m"), ("kernel", "h"), ("hermite_half", "N")):
+        with pytest.raises(ValueError, match=f"^{kind} spec is missing '{key}'$"):
+            fit_from_spec({"kind": kind}, s)
+        with pytest.raises(ValueError, match=f"^{kind} spec is missing '{key}'$"):
+            evaluate_rows({"kind": kind}, np.array([s]), 0.5)
+
+
+def test_standardize_must_be_a_bool():
+    # "false" is truthy and used to standardize
+    s = [0.2, 0.7]
+    for value in ("false", 1, None):
+        spec = {"kind": "hermite_half", "N": 3, "standardize": value, "sigma": 2.0}
+        with pytest.raises(ValueError, match="^standardize must be true or false$"):
+            fit_from_spec(spec, s)
+    plain = fit_from_spec({"kind": "hermite_half", "N": 3, "standardize": False, "sigma": 2.0}, s)
+    assert plain.scale == 1.0
+
+
 def test_fits_reject_non_integer_orders_and_infinite_bandwidths():
     # these used to fit m = 2, N = 2 and a constant 0.5 without a word
     x = [0.2, 0.7]
@@ -644,21 +665,27 @@ def test_fits_reject_non_integer_orders_and_infinite_bandwidths():
 
 def test_nan_evaluation_points_are_rejected_by_every_family():
     # they used to give 1.0 (EDF), NaN (Szasz, kernel, Bernstein) or a
-    # RuntimeWarning (Hermite)
+    # RuntimeWarning (Hermite); an infinite point gave NaN (Hermite, Szasz
+    # density) or a limit of the curve
     x = [0.2, 0.7]
-    for kind in KINDS:
-        fit = _fit_kind(kind, x, 3)
-        for points in (math.nan, [0.5, math.nan], np.array([[0.1], [math.nan]])):
-            with pytest.raises(ValueError, match="must not be NaN"):
-                fit.evaluate(points)
-        with pytest.raises(ValueError, match="must not be NaN"):
-            evaluate_rows({"kind": kind, "m": 3, "h": 0.15, "N": 3}, np.array([x]), math.nan)
+    for bad, message in ((math.nan, "must not be NaN"), (math.inf, "must be finite"),
+                         (-math.inf, "must be finite")):
+        for kind in KINDS:
+            fit = _fit_kind(kind, x, 3)
+            for points in (bad, [0.5, bad], np.array([[0.1], [bad]])):
+                with pytest.raises(ValueError, match=message):
+                    fit.evaluate(points)
+            with pytest.raises(ValueError, match=message):
+                evaluate_rows({"kind": kind, "m": 3, "h": 0.15, "N": 3}, np.array([x]), bad)
+        with pytest.raises(ValueError, match=message):
+            szasz_fit(x, 5).density(bad)
     # the domain messages are unchanged
     with pytest.raises(ValueError, match=r"must be >= 0"):
         szasz_fit(x, 3).evaluate(-0.5)
     with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
         bernstein_fit(x, 3).evaluate([0.5, 1.5])
-    assert kernel_fit(x, 0.1).evaluate([-math.inf, math.inf]).tolist() == [0.0, 1.0]
+    # large finite points are inside every open domain
+    assert kernel_fit(x, 0.1).evaluate([-1e300, 1e300]).tolist() == [0.0, 1.0]
 
 
 def test_kernel_evaluate_and_szasz_density_memory_is_bounded(weibull1):

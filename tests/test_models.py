@@ -6,7 +6,6 @@ import pytest
 from scipy import integrate
 
 from smoothcdf import (
-    MixtureSpec,
     distribution_from_spec,
     make_beta,
     make_exponential,
@@ -44,7 +43,7 @@ def test_mixture_weight_validation():
     with pytest.raises(ValueError):
         make_weibull_mixture([[0.5, 1.0, 1.0], [0.4, 4.0, 4.0]])
     with pytest.raises(ValueError):
-        MixtureSpec(((1.2, 1.0, 1.0), (-0.2, 2.0, 2.0)))
+        make_weibull_mixture(((1.2, 1.0, 1.0), (-0.2, 2.0, 2.0)))
 
 
 def test_beta_values(beta33):
@@ -140,6 +139,21 @@ def test_distribution_from_spec_round_trip(exp2):
     assert d.support == (0.0, 1.0)
     with pytest.raises(ValueError):
         distribution_from_spec({"kind": "cauchy"})
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "beta", "alpha": 3}, "^beta spec is missing 'beta'$"),
+    ({"kind": "exponential"}, "^exponential spec is missing 'rate'$"),
+    ({"kind": "weibull_mixture"}, "^weibull_mixture spec is missing 'components'$"),
+    ({"kind": "exponential", "rate": 2, "scale": 1}, "^unknown exponential spec keys: 'scale'$"),
+    ({"kind": "beta", "alpha": 3, "beta": 3, "b": 1, "a": 2},
+     "^unknown beta spec keys: 'a', 'b'$"),
+    ({"kind": ["beta"]}, "^unknown distribution kind"),
+])
+def test_distribution_spec_takes_exactly_its_keys(spec, message):
+    # a missing key was a KeyError, and an unknown one was ignored
+    with pytest.raises(ValueError, match=message):
+        distribution_from_spec(spec)
 
 
 def test_moments_match_samples(weibull1, weibull3):

@@ -613,7 +613,7 @@ def test_normality_chunks_equal_the_per_row_fits(beta33, spec, monkeypatch):
 
 @pytest.mark.parametrize("dist, spec, error, message", [
     ("exp2", {"kind": "bernstein", "m": 10}, ValueError, "sample values must be <= 1.0"),
-    ("beta33", {"kind": "szasz"}, KeyError, "'m'"),
+    ("beta33", {"kind": "szasz"}, ValueError, "missing 'm'"),
     ("beta33", {"kind": "nope"}, ValueError, "unknown estimator kind"),
     ("beta33", {"kind": "szasz", "m": 0}, ValueError, "order m must be a positive integer"),
     ("beta33", {"kind": "szasz", "m": 2.5}, ValueError, "order m must be a positive integer"),

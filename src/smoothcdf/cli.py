@@ -102,18 +102,12 @@ def _read_json(path):
     return config
 
 
-def _estimator_spec_from_args(args):
-    # argparse has already made m and N ints, h and sigma floats
-    spec = {key: getattr(args, key) for key in ("kind", "m", "N", "h", "sigma")
-            if getattr(args, key) is not None}
-    if args.standardize:
-        spec["standardize"] = True
-    return spec
-
-
 def cmd_estimate(args):
     values = _read_sample_file(args.sample)
-    spec = _estimator_spec_from_args(args)
+    # the flags given, as argparse typed them; the spec parser rejects one
+    # that --kind does not read
+    spec = {key: getattr(args, key) for key in ("kind", "m", "N", "h", "sigma", "standardize")
+            if getattr(args, key) is not None}
     if args.points is not None:
         try:
             points = [float(t) for t in args.points.split(",") if t.strip()]
@@ -235,8 +229,8 @@ def build_parser():
     p.add_argument("--m", type=int, help="order for szasz/bernstein")
     p.add_argument("--h", type=float, help="bandwidth for kernel")
     p.add_argument("--N", type=int, help="truncation order for hermite_half")
-    p.add_argument("--standardize", action="store_true")
-    p.add_argument("--sigma", type=float)
+    p.add_argument("--standardize", action="store_const", const=True)
+    p.add_argument("--sigma", type=float, help="known scale for hermite_half; needs --standardize")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--points", help="comma-separated evaluation points")
     group.add_argument("--points-file", help="file with one evaluation point per line")

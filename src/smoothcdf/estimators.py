@@ -9,14 +9,16 @@ Hermite formulas are functions over a leading row axis of samples
 sweeps in ``simulation`` pass chunks of repetitions.  ``evaluate_rows``
 reads every row's estimate at one point through these formulas and
 ``_szasz_rows`` without building a fitted object per row; it and
-``fit_from_spec`` share one spec parser, which rejects keys no kind knows
-and names the kind's parameter when it is missing.
+``fit_from_spec`` share one spec parser over the shared spec reader,
+``_checks.spec``.  Each kind takes exactly the keys it reads: edf none,
+szasz and bernstein ``m``, kernel ``h``, and hermite_half ``N``, with an
+optional ``standardize`` and, only when that is true, ``sigma``.
 ``_KINDS`` holds, per kind, the fitted class (whose ``_lower`` and
-``_upper`` are the family's domain), the spec key of its parameter and that
-parameter's check, one of the shared checks of ``_checks``; the spec parser
-and ``simulation``'s sweep config read it.  The smooth half-line estimator
-is evaluated through its finite incomplete-gamma representation: with
-c_i = max(1, ceil(m X_i)),
+``_upper`` are the family's domain), its required and optional spec keys
+and the check of its parameter, one of the shared checks of ``_checks``;
+the spec parser and ``simulation``'s sweep config read it.  The smooth
+half-line estimator is evaluated through its finite incomplete-gamma
+representation: with c_i = max(1, ceil(m X_i)),
 
     Fhat(x) = (1/n) sum_i P(c_i, m x),
 
@@ -64,6 +66,12 @@ Szasz ``density`` take their points so.  A chunk of exactly one point
 averages over the observations in another order than a wider chunk does,
 so its value can differ in the last bit from the same point evaluated
 among others.
+
+Evaluation points are finite, but m x, (x - X_i) / h and x / sigma can
+overflow to +-inf at the largest of them; every family then reads its limit
+there, the Szasz density 0, without an overflow warning.  The Hermite
+estimate takes x / sigma at most ``_HERMITE_FLAT`` = 40, where it already
+reads its limit, so the Hermite x * x stays finite.
 """
 
 from __future__ import annotations
@@ -75,6 +83,7 @@ from functools import cached_property, partial
 import numpy as np
 from scipy import special as sp
 
+from . import _checks
 from ._checks import flag, integer, positive
 from .special import hermite_basis, hermite_values, poisson_log_pmf
 
@@ -103,6 +112,9 @@ _ELEMENT_BUDGET = 250_000  # array elements one chunk of rows or points may allo
 # earlier point's value by less than this; the certified quantile search
 # rests on it (the dip measured over random fits of each family was 0.0)
 _ETA = 1e-12
+# past this x / sigma, exp(-x^2/2) has underflowed to 0: every Hermite function
+# is 0 and every integral at its limit, so the estimate reads as it does here
+_HERMITE_FLAT = 40.0
 
 
 class QuantileBracketError(RuntimeError):
@@ -324,6 +336,7 @@ class _Fitted:
         """The estimate at x: a float for a scalar, else an array shaped like x."""
         return self._pointwise(self._cdf, x)
 
+    @np.errstate(over="ignore")  # at the largest points: see the module docstring
     def _pointwise(self, formula, x):
         # formula maps a flat float array to the values at its points
         x = np.asarray(x, dtype=float)
@@ -406,12 +419,13 @@ class SzaszEstimator(_Fitted):
         """Derivative of the fitted CDF, a Poisson-weight mixture density.
 
         Taken in chunks of points, as ``evaluate`` is; a point alone in its
-        chunk can differ in the last bit (see the module docstring).
+        chunk can differ in the last bit (see the module docstring).  Where
+        m x overflows to inf the density is 0.
         """
         k = (self.orders - 1).astype(float)[:, None]
         return self._pointwise(lambda flat: _in_chunks(
-            lambda t: self.m * self._per_observation(
-                np.exp(poisson_log_pmf(k, self.m * t[None, :]))),
+            lambda t: np.where(np.isinf(self.m * t), 0.0, self.m * self._per_observation(
+                np.exp(poisson_log_pmf(k, self.m * t[None, :])))),
             flat, self.n + 2 * self.orders.size), x)
 
     def quantile(self, p):
@@ -474,7 +488,7 @@ class HermiteHalfEstimator(_Fitted):
     _lower = 0.0
 
     def _cdf(self, flat):
-        _, integrals = hermite_basis(flat / self.scale, self.order_max)
+        _, integrals = hermite_basis(np.minimum(flat / self.scale, _HERMITE_FLAT), self.order_max)
         # one dot product per contiguous row of integrals, so a point's value
         # does not depend on the other points; coef @ integrals is a ddot at
         # one point and a gemv at several, which round differently
@@ -564,34 +578,28 @@ def hermite_half_standardized_fit(values, order_max, mu, sigma):
 def _parse_spec(spec, dist=None):
     # an estimator spec's kind and its fit's checked arguments after the
     # sample: (), (m,), (h,) or (N, mu, sigma) for the standardized fit
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("estimator spec must be a dict with a 'kind' key")
-    kind = spec["kind"]
-    if kind not in KINDS:  # the tuple, so an unhashable kind is no TypeError
-        raise ValueError(f"unknown estimator kind: {kind!r}")
-    unknown = set(spec) - _SPEC_KEYS
-    if unknown:
-        raise ValueError(f"unknown estimator spec keys: {', '.join(sorted(map(repr, unknown)))}")
-    _, key, check = _KINDS[kind]
-    if key is not None and key not in spec:
-        raise ValueError(f"{kind} spec is missing {key!r}")
-    args = () if key is None else (check(spec[key]),)
+    kind = _checks.spec("estimator", spec, _KEYS)
+    _, (required, _), check = _KINDS[kind]
+    args = tuple(check(spec[key]) for key in required)
     if kind == "hermite_half":
-        sigma = 1.0
-        if flag("standardize", spec.get("standardize", False)):
-            sigma = spec.get("sigma", dist.sd if dist is not None else None)
-            if sigma is None:
-                raise ValueError("standardized hermite fit needs sigma (or a model)")
+        standardize = flag("standardize", spec.get("standardize", False))
+        if "sigma" in spec and not standardize:
+            raise ValueError("hermite_half spec takes 'sigma' only with 'standardize': true")
+        sigma = spec.get("sigma", dist.sd if dist is not None else None) if standardize else 1.0
+        if sigma is None:
+            raise ValueError("standardized hermite fit needs sigma (or a model)")
         args += (None, positive("sigma", sigma))
     return kind, args
 
 
 def fit_from_spec(spec, values, dist=None):
-    """Fit an estimator from its JSON config form.
+    """Fit an estimator from its JSON config form, with exactly its kind's keys.
 
-    Examples: {"kind": "szasz", "m": 50}, {"kind": "kernel", "h": 0.05},
-    {"kind": "hermite_half", "N": 20, "standardize": true}.  Standardized
-    Hermite fits take sigma from the spec or from ``dist``.
+    The forms: {"kind": "edf"}, {"kind": "szasz", "m": 50},
+    {"kind": "bernstein", "m": 50}, {"kind": "kernel", "h": 0.05} and
+    {"kind": "hermite_half", "N": 20}, which may add "standardize": true
+    and then "sigma"; standardized Hermite fits take sigma from the spec or
+    from ``dist``.
     """
     kind, args = _parse_spec(spec, dist)
     fit = {"edf": edf_fit, "szasz": szasz_fit, "bernstein": bernstein_fit,
@@ -599,6 +607,7 @@ def fit_from_spec(spec, values, dist=None):
     return fit(values, *args)
 
 
+@np.errstate(over="ignore")  # at the largest points: see the module docstring
 def evaluate_rows(spec, samples, x, dist=None):
     """The estimate at the point x of the fit of each row of ``samples``.
 
@@ -621,7 +630,7 @@ def evaluate_rows(spec, samples, x, dist=None):
     n = samples.shape[1]
     if kind == "hermite_half":
         order_max, _, scale = args
-        _, integrals = hermite_basis(point / scale, order_max)
+        _, integrals = hermite_basis(np.minimum(point / scale, _HERMITE_FLAT), order_max)
         # one dot product per contiguous coefficient row, the form the fit's
         # _cdf takes per point; a matrix product would round differently
         coefs = np.ascontiguousarray(_hermite_coefficients(samples, scale, order_max))
@@ -639,13 +648,15 @@ def evaluate_rows(spec, samples, x, dist=None):
     return _in_chunks(rows, samples, width)
 
 
-# kind: (fitted class, spec key of its parameter, the parameter's check)
+# kind: (fitted class, its spec keys (required, optional), the check of its
+# parameter, which is its required key)
 _KINDS = {
-    "edf": (EmpiricalCDF, None, float),
-    "szasz": (SzaszEstimator, "m", partial(integer, "order m")),
-    "bernstein": (BernsteinEstimator, "m", partial(integer, "order m")),
-    "kernel": (KernelCDF, "h", partial(positive, "bandwidth")),
-    "hermite_half": (HermiteHalfEstimator, "N", partial(integer, "order_max", lo=0)),
+    "edf": (EmpiricalCDF, ((), ()), float),
+    "szasz": (SzaszEstimator, (("m",), ()), partial(integer, "order m")),
+    "bernstein": (BernsteinEstimator, (("m",), ()), partial(integer, "order m")),
+    "kernel": (KernelCDF, (("h",), ()), partial(positive, "bandwidth")),
+    "hermite_half": (HermiteHalfEstimator, (("N",), ("standardize", "sigma")),
+                     partial(integer, "order_max", lo=0)),
 }
 KINDS = tuple(_KINDS)  # the spec kinds
-_SPEC_KEYS = {"kind", "standardize", "sigma"} | {key for _, key, _ in _KINDS.values() if key}
+_KEYS = {kind: keys for kind, (_, keys, _) in _KINDS.items()}

@@ -12,7 +12,9 @@ the one-row case: n draws' uniforms from the stream keyed by the seed,
 inverted and sorted, so a (seed, n) pair fully determines the output on
 any platform.  ``simulation.samples_matrix`` applies the same fill and
 transform to chunks of rows, each row keyed by its own seed, and gets the
-same bits.
+same bits.  ``distribution_from_spec`` reads a model's JSON form with the
+shared spec reader, ``_checks.spec``: each kind takes exactly the
+arguments of its factory, all required.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Callable
 import numpy as np
 from scipy import special as sp
 
+from . import _checks
 from ._checks import integer, positive
 
 __all__ = [
@@ -281,13 +284,14 @@ def sample(dist, seed, n):
     """n i.i.d. draws from ``dist``, sorted ascending.
 
     Deterministic given (seed, n): ``dist.uniforms_per_draw * n`` uniforms
-    from the Philox stream keyed by ``seed``, then the model's inverse
-    transform.  This is the one-row case of ``simulation.samples_matrix``,
-    which draws chunks of rows through the same two steps.
+    from the Philox stream keyed by ``seed`` (an integer, taken modulo
+    2**64), then the model's inverse transform.  This is the one-row case
+    of ``simulation.samples_matrix``, which draws chunks of rows through
+    the same two steps.
     """
-    n = integer("n", n)
+    seed, n = _checks.seed("seed", seed), integer("n", n)
     u = np.empty(dist.uniforms_per_draw * n)
-    _fill_uniforms(np.array([int(seed) & 0xFFFF_FFFF_FFFF_FFFF], dtype=np.uint64), u[None, :])
+    _fill_uniforms(np.array([seed], dtype=np.uint64), u[None, :])
     values = dist._invert(u)
     values.sort()
     return values
@@ -317,6 +321,7 @@ _FACTORIES = {
     "weibull_mixture": (make_weibull_mixture, ("components",)),
     "beta": (make_beta, ("alpha", "beta")),
 }
+_KEYS = {kind: (keys, ()) for kind, (_, keys) in _FACTORIES.items()}  # all required
 
 
 def distribution_from_spec(spec):
@@ -327,18 +332,7 @@ def distribution_from_spec(spec):
         {"kind": "weibull_mixture", "components": [[0.5, 1, 1], [0.5, 4, 4]]}
         {"kind": "beta", "alpha": 3, "beta": 3}
     """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("distribution spec must be a dict with a 'kind' key")
-    kind = spec["kind"]
-    if kind not in tuple(_FACTORIES):  # a tuple, so an unhashable kind is no TypeError
-        raise ValueError(f"unknown distribution kind: {kind!r}")
-    factory, keys = _FACTORIES[kind]
-    unknown = set(spec) - {"kind", *keys}
-    if unknown:
-        raise ValueError(f"unknown {kind} spec keys: {', '.join(sorted(map(repr, unknown)))}")
-    for key in keys:
-        if key not in spec:
-            raise ValueError(f"{kind} spec is missing {key!r}")
+    factory, keys = _FACTORIES[_checks.spec("distribution", spec, _KEYS)]
     return factory(*(spec[key] for key in keys))
 
 

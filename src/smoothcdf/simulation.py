@@ -48,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as sp
 
-from . import estimators, models
+from . import _checks, estimators, models
 from ._checks import flag, integer
 from .estimators import (
     _KINDS, KINDS, EmpiricalCDF, _bernstein_rows, _bernstein_survival, _check_sample,
@@ -113,7 +113,8 @@ class ExperimentConfig:
         object.__setattr__(self, "param_grid", grid)
         for name, lo in (("n", 1), ("M", 1), ("quadrature_nodes", 2), ("master_seed", 0)):
             object.__setattr__(self, name, integer(name, getattr(self, name), lo))
-        flag("standardize", self.standardize)
+        if flag("standardize", self.standardize) and self.estimator_family != "hermite_half":
+            raise ValueError(f"standardize applies to hermite_half, not {self.estimator_family}")
 
 
 @dataclass(frozen=True)
@@ -139,10 +140,9 @@ class NormalityResult:
 
 def repetition_seed(master_seed, index):
     """Stable 64-bit seed for one repetition of one experiment, 0 <= index < 2**32."""
-    index = int(index)
-    if not 0 <= index < 2**32:
+    if integer("repetition index", index, lo=0) >= 2**32:
         raise ValueError("repetition index must lie in [0, 2**32)")
-    return int(_repetition_seeds(master_seed, index))
+    return int(_repetition_seeds(master_seed, int(index)))
 
 
 def _repetition_seeds(master_seed, index):
@@ -150,7 +150,7 @@ def _repetition_seeds(master_seed, index):
     # np.uint64) for an int index i < 2**32 or a uint32 array of them: its
     # seed_seq_fe mix (O'Neill) of a four-word pool, the master's one or two
     # 32-bit words and i padded with zeros, written over ints or arrays alike
-    seed = int(master_seed) & 0xFFFF_FFFF_FFFF_FFFF
+    seed = _checks.seed("master_seed", master_seed)
     words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else []) + [index]
     words += [0] * (4 - len(words))
     hash_const = _HASH_INIT_A
@@ -201,7 +201,7 @@ def samples_matrix(dist, master_seed, n_reps, n, workers=1):
     """
     global _last_draw
     n_reps, n = integer("n_reps", n_reps), integer("n", n)
-    seed = int(master_seed) & 0xFFFF_FFFF_FFFF_FFFF
+    seed = _checks.seed("master_seed", master_seed)
     # one read of the shared entry: a concurrent caller can replace it, so
     # a race may cost a redraw but never hands out rows of other inputs
     entry = _last_draw
@@ -248,6 +248,7 @@ def ise(fit, dist, nodes=512):
     is integrated exactly over its u-space segments instead of by
     quadrature (the integrand jumps at every observation).
     """
+    nodes = integer("nodes", nodes, lo=2)
     if isinstance(fit, EmpiricalCDF):
         u = np.asarray(dist.cdf(fit.sample), dtype=float)[None, :]
         return float(_edf_ise_from_u(u)[0])

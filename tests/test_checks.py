@@ -9,6 +9,8 @@ from smoothcdf import (
     R_j,
     R_tilde_1,
     deficiency_asymptotic,
+    edf_fit,
+    ise,
     make_beta,
     make_exponential,
     make_weibull_mixture,
@@ -16,11 +18,13 @@ from smoothcdf import (
     mse_asymptotic,
     normality_experiment,
     pointwise_coeffs,
+    sample,
     szasz_exact_moments,
+    szasz_fit,
     weighted_L_integral,
 )
-from smoothcdf._checks import integer, nonnegative, positive
-from smoothcdf.simulation import ExperimentConfig
+from smoothcdf._checks import integer, nonnegative, positive, seed
+from smoothcdf.simulation import ExperimentConfig, repetition_seed, samples_matrix
 
 
 def test_integer_takes_integral_values_of_any_number_type():
@@ -42,6 +46,15 @@ def test_integer_rejects_fractions_non_finite_values_and_values_below_lo(value):
         integer("order_max", -1 if value == 0 else value, lo=0)
     with pytest.raises(ValueError, match="^quadrature_nodes must be an integer >= 2$"):
         integer("quadrature_nodes", 1, lo=2)
+
+
+def test_seed_takes_any_integer_modulo_2_64():
+    for value, want in ((3, 3), (3.0, 3), (3 + 2**64, 3), (-1, 2**64 - 1),
+                        (np.uint64(2**64 - 1), 2**64 - 1), (-2**70 + 5, 5)):
+        assert seed("seed", value) == want
+    for value in (1.7, math.nan, math.inf, None, "x"):
+        with pytest.raises(ValueError, match="^seed must be an integer$"):
+            seed("seed", value)
 
 
 def test_positive_and_nonnegative_reject_nan_and_infinities():
@@ -89,11 +102,23 @@ _NAN, _INF = math.nan, math.inf
     ("x", lambda d: szasz_exact_moments(d, 10, 20, _NAN)),
     ("x", lambda d: szasz_exact_moments(d, 10, 20, _INF)),
     ("a", lambda d: weighted_L_integral(3, _NAN)),
+    ("seed", lambda d: sample(d, 1.7, 5)),
+    ("seed", lambda d: sample(d, _NAN, 5)),
+    ("master_seed", lambda d: samples_matrix(d, 1.7, 3, 5)),
+    ("master_seed", lambda d: samples_matrix(d, _INF, 3, 5)),
+    ("master_seed", lambda d: repetition_seed(1.7, 2)),
+    ("repetition index", lambda d: repetition_seed(1, 2.5)),
+    ("repetition index", lambda d: repetition_seed(1, _NAN)),
+    ("nodes", lambda d: ise(szasz_fit([0.2, 0.5, 1.1], 3), d, nodes=2.5)),
+    ("nodes", lambda d: ise(szasz_fit([0.2, 0.5, 1.1], 3), d, nodes=0)),
+    ("nodes", lambda d: ise(edf_fit([0.2, 0.5, 1.1]), d, nodes=_NAN)),
 ])
 def test_invalid_arguments_raise_one_error_naming_them(exp2, name, call):
     # each of these used to run, return NaN, or fail with an error that named
     # nothing ("cannot convert float NaN to integer", OverflowError, or a
     # RuntimeError after weighted_L_integral's full loop); a master_seed of
-    # 1.7 swept seed 1, and standardize="false" standardized
+    # 1.7 swept seed 1, and standardize="false" standardized; a seed of 1.7
+    # drew seed 1, repetition_seed(1.7, 2.5) was repetition_seed(1, 2), and
+    # nodes=2.5 integrated with 2 nodes
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
         call(exp2)

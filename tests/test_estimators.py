@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -23,6 +24,8 @@ from smoothcdf import (
     szasz_fit,
     szasz_exact_moments,
 )
+from smoothcdf import simulation
+from smoothcdf.cli import main
 from smoothcdf.estimators import (
     KINDS,
     HermiteHalfEstimator,
@@ -497,8 +500,15 @@ def test_quantile_search_raises_on_each_side():
         Plateau().quantile(0.6)
 
 
+def _own_spec(kind, k):
+    # each kind's spec with its own parameter only: m = k, h = k / 20 or N = k
+    own = {"szasz": {"m": k}, "bernstein": {"m": k}, "kernel": {"h": k / 20.0},
+           "hermite_half": {"N": k}}
+    return {"kind": kind, **own.get(kind, {})}
+
+
 def _fit_kind(kind, values, k):
-    return fit_from_spec({"kind": kind, "m": k, "h": k / 20.0, "N": k}, values)
+    return fit_from_spec(_own_spec(kind, k), values)
 
 
 _EDGE_SAMPLES = st.one_of(
@@ -562,7 +572,8 @@ def test_certified_quantile_equals_the_plain_bisection_bitwise(kind, unit, m, h,
     # n = 1, ties, exact zeros and random samples at three scales (Bernstein
     # data stay in [0, 1]); a level that is never reached raises in both
     values = [v * (min(scale, 1.0) if kind == "bernstein" else scale) for v in unit]
-    fit = fit_from_spec({"kind": kind, "m": m, "h": h}, values)
+    fit = fit_from_spec({"kind": kind, "h": h} if kind == "kernel" else {"kind": kind, "m": m},
+                        values)
     got = _quantile_or_error(fit, p)
     with mock.patch.object(estimators, "_bisect_certified", _plain_bisection):
         assert got == _quantile_or_error(fit, p)
@@ -620,7 +631,7 @@ def test_fit_from_spec(exp2):
         fit_from_spec({"kind": "hermite_half", "N": 4, "standardize": True}, s)
     with pytest.raises(ValueError):
         fit_from_spec({"kind": "nope"}, s)
-    with pytest.raises(ValueError, match="unknown estimator spec keys: 'bogus', 'clip'"):
+    with pytest.raises(ValueError, match="unknown hermite_half spec keys: 'bogus', 'clip'"):
         fit_from_spec({"kind": "hermite_half", "N": 3, "clip": True, "bogus": 1}, s)
 
 
@@ -641,8 +652,61 @@ def test_standardize_must_be_a_bool():
         spec = {"kind": "hermite_half", "N": 3, "standardize": value, "sigma": 2.0}
         with pytest.raises(ValueError, match="^standardize must be true or false$"):
             fit_from_spec(spec, s)
-    plain = fit_from_spec({"kind": "hermite_half", "N": 3, "standardize": False, "sigma": 2.0}, s)
+    with pytest.raises(ValueError, match="'sigma' only with 'standardize': true"):
+        fit_from_spec({"kind": "hermite_half", "N": 3, "standardize": False, "sigma": 2.0}, s)
+    plain = fit_from_spec({"kind": "hermite_half", "N": 3, "standardize": False}, s)
     assert plain.scale == 1.0
+
+
+# each spec key with a value and the estimate flags that set it
+_KEY_VALUES = {"m": (3, ["--m", "3"]), "h": (0.1, ["--h", "0.1"]), "N": (3, ["--N", "3"]),
+               "standardize": (True, ["--standardize"]), "sigma": (2.0, ["--sigma", "2"])}
+
+
+@pytest.mark.parametrize("kind, key", [
+    (kind, key) for kind in KINDS for key in _KEY_VALUES
+    if key not in _own_spec(kind, 3) and (kind, key) != ("hermite_half", "standardize")])
+def test_each_kind_rejects_every_key_it_does_not_read(tmp_path, capsys, beta33, kind, key):
+    # they were dropped without a word: {"kind": "edf", "m": 3} fitted an EDF,
+    # and a hermite_half sigma without standardize: true fitted at scale 1
+    value, flags = _KEY_VALUES[key]
+    spec = {**_own_spec(kind, 3), key: value}
+    x = [0.2, 0.5, 0.7]
+    for call in (lambda: fit_from_spec(spec, x),
+                 lambda: evaluate_rows(spec, np.array([x]), 0.4, beta33)):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            call()
+    # the normality experiment rejects the spec before it draws
+    kept = simulation.samples_matrix(beta33, 1, 5, 40)
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        simulation.normality_experiment(beta33, spec, 0.4, 60, 20, master_seed=2)
+    assert simulation._last_draw[3] is kept
+    sample = tmp_path / "s.txt"
+    sample.write_text("0.2\n0.5\n0.7\n", encoding="utf-8")
+    own = [f"--{k}={v}" for k, v in _own_spec(kind, 3).items() if k != "kind"]
+    out = tmp_path / "out"
+    assert main(["estimate", "--sample", str(sample), "--kind", kind, *own, *flags,
+                 "--points", "0.4", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("smoothcdf: ") and err.count("\n") == 1 and f"'{key}'" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family", [kind for kind in KINDS if kind != "hermite_half"])
+def test_only_hermite_sweeps_take_standardize(tmp_path, capsys, exp2, family):
+    # a szasz sweep with standardize: true swept plain Szasz
+    message = f"standardize applies to hermite_half, not {family}"
+    with pytest.raises(ValueError, match=message):
+        simulation.ExperimentConfig(exp2, family, (2, 3), n=10, M=5, standardize=True)
+    assert simulation.ExperimentConfig(exp2, family, (2, 3), n=10, M=5).standardize is False
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"dist": {"kind": "exponential", "rate": 2},
+                                  "estimator_family": family, "param_grid": [2, 3], "n": 10,
+                                  "M": 5, "standardize": True}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config), "--workers", "1", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"smoothcdf: {message}\n"
+    assert not out.exists()
 
 
 def test_fits_reject_non_integer_orders_and_infinite_bandwidths():
@@ -676,7 +740,7 @@ def test_nan_evaluation_points_are_rejected_by_every_family():
                 with pytest.raises(ValueError, match=message):
                     fit.evaluate(points)
             with pytest.raises(ValueError, match=message):
-                evaluate_rows({"kind": kind, "m": 3, "h": 0.15, "N": 3}, np.array([x]), bad)
+                evaluate_rows(_own_spec(kind, 3), np.array([x]), bad)
         with pytest.raises(ValueError, match=message):
             szasz_fit(x, 5).density(bad)
     # the domain messages are unchanged
@@ -684,8 +748,22 @@ def test_nan_evaluation_points_are_rejected_by_every_family():
         szasz_fit(x, 3).evaluate(-0.5)
     with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
         bernstein_fit(x, 3).evaluate([0.5, 1.5])
-    # large finite points are inside every open domain
-    assert kernel_fit(x, 0.1).evaluate([-1e300, 1e300]).tolist() == [0.0, 1.0]
+    # large finite points are inside every open domain and give each family's
+    # limit there, with no NaN and no overflow warning: m x, (x - X_i) / h and
+    # the Hermite x * x overflow at 1e308, and a Hermite x / sigma past
+    # 1.27e308 gave NaN
+    for kind in KINDS:
+        fit = _fit_kind(kind, x, 3)
+        lower, upper = fit._lower, fit._upper
+        for big in (b for b in (-1e308, 1e308) if lower <= b <= upper):
+            value = fit.evaluate(big)
+            limit = fit.evaluate(100.0) if kind == "hermite_half" else float(big > 0.0)
+            assert value == limit, (kind, big, value)
+            assert evaluate_rows(_own_spec(kind, 3), np.array([x, x]), big).tolist() == [limit] * 2
+    standardized = hermite_half_standardized_fit(x, 3, None, 0.5)
+    assert standardized.evaluate([1e308, 1.7e308]).tolist() == [standardized.evaluate(100.0)] * 2
+    for m in (1, 3):
+        assert szasz_fit(x, m).density([1e308, 1.5, 1e308]).tolist()[::2] == [0.0, 0.0]
 
 
 def test_kernel_evaluate_and_szasz_density_memory_is_bounded(weibull1):

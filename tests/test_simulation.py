@@ -621,7 +621,7 @@ def test_normality_chunks_equal_the_per_row_fits(beta33, spec, monkeypatch):
     ("exp2", {"kind": "szasz", "m": 2 ** 52}, ValueError, r"limit 2\*\*53"),
     ("beta33", {"kind": ["szasz"]}, ValueError, "unknown estimator kind"),
     ("beta33", {"kind": "hermite_half", "N": 3, "clip": True}, ValueError,
-     "unknown estimator spec keys: 'clip'"),
+     "unknown hermite_half spec keys: 'clip'"),
 ])
 def test_normality_experiment_error_paths(request, dist, spec, error, message):
     # the errors the per-row fits raised, from the one spec parser and checks
@@ -633,7 +633,7 @@ def test_normality_rejects_a_bad_spec_before_drawing(beta33):
     # the spec is parsed first, so the rejected run neither draws nor
     # replaces the kept matrix
     kept = samples_matrix(beta33, 1, 5, 40)
-    with pytest.raises(ValueError, match="unknown estimator spec keys: 'clip'"):
+    with pytest.raises(ValueError, match="unknown edf spec keys: 'clip'"):
         normality_experiment(beta33, {"kind": "edf", "clip": True}, 0.4, 60, 20, master_seed=2)
     assert simulation._last_draw[3] is kept
 

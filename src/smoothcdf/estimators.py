@@ -38,9 +38,9 @@ Quantiles are inf{x: Fhat(x) >= p}.  The EDF takes the k-th order
 statistic for the smallest k with k / n >= p.  The Szasz, Bernstein and
 kernel fits are non-decreasing in exact arithmetic.  They widen a bracket
 and then return exactly what bisecting it one midpoint per ``evaluate``
-returns, in about 15 one-point calls per level instead of about 40
-(``_bisect_certified``).  Illinois regula falsi, started from the values
-the widening already has, *locates* the crossing x_hat.  Probes on either
+returns, in about 13 one-point calls per level instead of about 40
+(``_bisect_certified``).  Brent's method, started from the values the
+widening already has, *locates* the crossing x_hat.  Probes on either
 side, 4-fold farther each time, *certify* a lower point with Fhat < p - eta
 and an upper one with Fhat >= p + eta, eta = ``_ETA`` = 1e-12.  The
 bisection is then *replayed* unchanged: a midpoint at or above the upper
@@ -70,8 +70,9 @@ among others.
 Evaluation points are finite, but m x, (x - X_i) / h and x / sigma can
 overflow to +-inf at the largest of them; every family then reads its limit
 there, the Szasz density 0, without an overflow warning.  The Hermite
-estimate takes x / sigma at most ``_HERMITE_FLAT`` = 40, where it already
-reads its limit, so the Hermite x * x stays finite.
+estimate takes x / sigma, and its coefficients X_i / sigma, at most
+``_HERMITE_FLAT`` = 40, where every h_k is already 0, so the Hermite
+x * x stays finite.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
-from scipy import special as sp
+from scipy import optimize, special as sp
 
 from . import _checks
 from ._checks import flag, integer, positive
@@ -121,8 +122,8 @@ class QuantileBracketError(RuntimeError):
     """The estimate does not cross the requested level within |x| <= 1e6."""
 
 
-def _as_sample(values, lower=0.0, upper=None, what="sample"):
-    return _check_sample(np.sort(np.asarray(values, dtype=float).ravel()), lower, upper, what)
+def _as_sample(values, lower=0.0, upper=None):
+    return _check_sample(np.sort(np.asarray(values, dtype=float).ravel()), lower, upper)
 
 
 def _check_sample(x, lower, upper, what="sample"):
@@ -202,26 +203,16 @@ def _bisect_certified(f, p, lo, f_lo, hi, f_hi, tol=1e-10):
             seen[x] = f(x)
         return seen[x]
 
-    # Illinois regula falsi on [a, b]; wa < 0 <= wb are f - p at the ends,
-    # halved at an end the secant has kept twice in a row
-    a, b, wa, wb, kept = lo, hi, f_lo - p, f_hi - p, 0
-    for _ in range(30):
-        x = a + (b - a) * (-wa / (wb - wa))
-        if not a < x < b:
-            x = 0.5 * (a + b)
-        fx = at(x) - p
-        if fx >= 0.0:
-            b, wb = x, fx
-            wa, kept = (0.5 * wa if kept == 1 else wa), 1
-        else:
-            a, wa = x, fx
-            wb, kept = (0.5 * wb if kept == -1 else wb), -1
-        if abs(fx) <= _ETA or b - a <= tol:
-            break
+    # Brent's method locates x; the replay is exact for any x, so running out
+    # of iterations only costs calls and must not raise
+    x = optimize.brentq(lambda t: at(t) - p, lo, hi, xtol=tol, disp=False)
     # the closest points known to decide: lo and hi, whose values are exact
-    # at themselves, and any evaluated point clear of p by _ETA
+    # at themselves, and any evaluated point clear of p by _ETA; the probes
+    # start from the slope between the nearest evaluated points across p
     lower = max([lo] + [t for t, v in seen.items() if v < p - _ETA])
     upper = min([hi] + [t for t, v in seen.items() if v >= p + _ETA])
+    a = max(t for t, v in seen.items() if v < p)
+    b = min(t for t, v in seen.items() if v >= p)
     delta = 0.5 * tol + 4.0 * _ETA * (b - a) / (seen[b] - seen[a])
     step = delta
     while x - step > lower and at(x - step) >= p - _ETA:
@@ -306,13 +297,15 @@ def _bernstein_rows(samples, m, survival):
     return _row_bincount(_bernstein_orders(samples, m), m) @ survival / samples.shape[1]
 
 
+@np.errstate(over="ignore")  # at the largest observations, as at the largest points
 def _hermite_coefficients(samples, scale, order_max):
     # a_hat_k = mean_i h_k(X_i / scale) for k = 0..order_max, one row per
-    # sample row.  hermite_values holds the values of every order and four
-    # temporaries per point (measured under tracemalloc), so the rows go in
-    # chunks
+    # sample row, each X_i / scale taken at most _HERMITE_FLAT, where every
+    # h_k is already 0.  hermite_values holds the values of every order and
+    # four temporaries per point (measured under tracemalloc), so the rows go
+    # in chunks
     def block(rows):
-        vals = hermite_values((rows / scale).ravel(), order_max)
+        vals = hermite_values(np.minimum(rows / scale, _HERMITE_FLAT).ravel(), order_max)
         return vals.reshape(order_max + 1, *rows.shape).mean(axis=2).T
 
     return _in_chunks(block, samples, samples.shape[1] * (order_max + 5))

@@ -43,14 +43,12 @@ __all__ = [
 class TrueDistribution:
     """A known distribution exposing everything the experiments need.
 
-    ``support`` is (0, inf) for the half-line models and (0, 1) for beta.
     ``sf`` is 1 - cdf without its cancellation near F = 1.  ``mean`` and
     ``sd`` are the analytic moments; the standardized Hermite estimator
     uses ``sd`` as its known true scale.
     """
 
     name: str
-    support: tuple[float, float]
     cdf: Callable[[np.ndarray], np.ndarray]
     sf: Callable[[np.ndarray], np.ndarray]
     pdf: Callable[[np.ndarray], np.ndarray]
@@ -97,7 +95,6 @@ def make_exponential(rate):
 
     return TrueDistribution(
         name=f"exponential(rate={rate:g})",
-        support=(0.0, math.inf),
         cdf=cdf,
         sf=sf,
         pdf=pdf,
@@ -212,7 +209,6 @@ def make_weibull_mixture(components):
     name = "+".join(f"{w:g}*Weibull({a:g},{b:g})" for w, a, b in components)
     return TrueDistribution(
         name=name,
-        support=(0.0, math.inf),
         cdf=cdf,
         sf=sf,
         pdf=pdf,
@@ -266,7 +262,6 @@ def make_beta(alpha, beta):
     s = alpha + beta
     return TrueDistribution(
         name=f"beta({alpha:g},{beta:g})",
-        support=(0.0, 1.0),
         cdf=cdf,
         sf=sf,
         pdf=pdf,

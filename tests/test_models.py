@@ -129,14 +129,17 @@ def test_mixture_pdf_integrates_to_one(weibull1, weibull2, weibull3):
         assert total == pytest.approx(1.0, abs=1e-8)
 
 
-def test_distribution_from_spec_round_trip(exp2):
+def test_distribution_from_spec_round_trip(exp2, weibull1, beta33):
     d = distribution_from_spec({"kind": "exponential", "rate": 2})
     assert d.cdf(1.0) == exp2.cdf(1.0)
-    d = distribution_from_spec({"kind": "weibull_mixture",
-                                "components": [[0.5, 1, 1], [0.5, 4, 4]]})
-    assert d.support == (0.0, math.inf)
-    d = distribution_from_spec({"kind": "beta", "alpha": 3, "beta": 3})
-    assert d.support == (0.0, 1.0)
+    # each spec builds its own model: the fixture's cdf and quantile, bit for bit
+    xs, ps = np.array([0.1, 0.4, 0.7, 2.5]), np.array([0.05, 0.5, 0.95])
+    for spec, fixture in [
+            ({"kind": "weibull_mixture", "components": [[0.5, 1, 1], [0.5, 4, 4]]}, weibull1),
+            ({"kind": "beta", "alpha": 3, "beta": 3}, beta33)]:
+        d = distribution_from_spec(spec)
+        assert d.cdf(xs).tobytes() == fixture.cdf(xs).tobytes()
+        assert d.quantile(ps).tobytes() == fixture.quantile(ps).tobytes()
     with pytest.raises(ValueError):
         distribution_from_spec({"kind": "cauchy"})
 

@@ -3,8 +3,9 @@
 Commands: estimate, sweep, normality, asymptotics, theory-check.
 Experiment commands read JSON configs (reproducible), one-shot estimation
 takes flags.  Every command ends in ``_write_run``: its data files, its
-stdout, then a run manifest (config digest, seed, version, timestamps,
-output paths) in --out-dir.  Exit codes: 0 success, 1 check failure, 2
+stdout, then a run manifest (config digest, seed, package, Python, numpy
+and scipy versions, CPU count, workers, timestamps, peak RSS, output
+paths) in --out-dir.  Exit codes: 0 success, 1 check failure, 2
 usage or config error: a ValueError, or a TypeError from a config key the
 command does not take, a required one it lacks or a value of the wrong
 type.
@@ -25,9 +26,13 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 from . import __version__
 from ._checks import integer
@@ -36,6 +41,11 @@ from .estimators import KINDS, fit_from_spec
 from .models import distribution_from_spec
 from .simulation import ExperimentConfig, normality_experiment, parameter_sweep
 from .theory import run_theory_checks
+
+try:
+    import resource
+except ImportError:  # no getrusage on Windows
+    resource = None
 
 _STAMP = "%Y-%m-%dT%H:%M:%S%z"  # the manifest's timestamps
 
@@ -53,8 +63,19 @@ def _digest(obj):
     return hashlib.sha256(payload).hexdigest()
 
 
+def _peak_rss_bytes():
+    # ru_maxrss counts KiB on Linux and bytes on macOS; None where it is missing
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak * (1 if sys.platform == "darwin" else 1024)
+
+
 def _write_run(args, config, master_seed, files, stdout):
-    # a run's data files ({name: text}, in order), its stdout, then its manifest
+    # a run's data files ({name: text}, in order), its stdout, then its
+    # manifest with the facts of the run: the versions it ran on, the CPUs it
+    # saw, the workers it was given where the command takes them and its
+    # process's peak resident memory
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
@@ -65,8 +86,14 @@ def _write_run(args, config, master_seed, files, stdout):
         "config_digest": _digest(config),
         "master_seed": master_seed,
         "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        **({"workers": args.workers} if "workers" in args else {}),
         "started_at": args.started_at,
         "finished_at": time.strftime(_STAMP),
+        "peak_rss_bytes": _peak_rss_bytes(),
         "outputs": [str(out_dir / name) for name in files],
     }
     path = out_dir / f"{args.command.replace('-', '_')}_manifest.json"
@@ -141,6 +168,7 @@ def cmd_sweep(args):
         "argmin_param": result.argmin_param,
         "argmin_mise": result.argmin_mise,
         "se": result.argmin_se,
+        "argmin_on_grid_edge": result.argmin_on_grid_edge,
     }
     _write_run(args, raw, config.master_seed,
                {"sweep.csv": "\n".join(lines) + "\n",

@@ -38,9 +38,14 @@ Quantiles are inf{x: Fhat(x) >= p}.  The EDF takes the k-th order
 statistic for the smallest k with k / n >= p.  The Szasz, Bernstein and
 kernel fits are non-decreasing in exact arithmetic.  They widen a bracket
 and then return exactly what bisecting it one midpoint per ``evaluate``
-returns, in about 13 one-point calls per level instead of about 40
-(``_bisect_certified``).  Brent's method, started from the values the
-widening already has, *locates* the crossing x_hat.  Probes on either
+returns, in about 8 one-point calls per level instead of about 40
+(``_bisect_certified``).  Each fit keeps one table of the one-point values
+its quantile searches have computed, at most ``_KNOWN_CAP`` = 256 of them,
+shared by all its levels: the bracket ends, the same for every level, are
+computed once per fit.  Only one-point values enter it, since a value
+evaluated among other points can differ in the last bit.  Brent's method,
+started from the tightest bracket the table knows inside the widened one,
+*locates* the crossing x_hat.  Probes on either
 side, 4-fold farther each time, *certify* a lower point with Fhat < p - eta
 and an upper one with Fhat >= p + eta, eta = ``_ETA`` = 1e-12.  The
 bisection is then *replayed* unchanged: a midpoint at or above the upper
@@ -50,7 +55,10 @@ decision is the plain loop's unless a float value of the fit falls below
 the value at an earlier point by eta; the largest such dip measured over
 random fits of the three families, points 1e-9 apart, was 0.0.  Every
 call takes one point: their cost grows with the number of points, so wider
-batches would be slower.
+batches would be slower.  Quantiles of one fit may be asked from several
+threads at once: a search reads the table through a snapshot, never while
+another thread extends it, one lock makes each size test and insert a
+single step, and a value computed twice is the same value.
 
 The Hermite series need not be monotone.  Its search finds the first upcrossing
 on a 4097-point grid, which each fit evaluates once and keeps read-only for
@@ -78,6 +86,8 @@ x * x stays finite.
 from __future__ import annotations
 
 import math
+import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -113,6 +123,10 @@ _ELEMENT_BUDGET = 250_000  # array elements one chunk of rows or points may allo
 # earlier point's value by less than this; the certified quantile search
 # rests on it (the dip measured over random fits of each family was 0.0)
 _ETA = 1e-12
+# one-point values a fit's table of known values keeps; the lock makes each
+# table's size test and insert one step across threads
+_KNOWN_CAP = 256
+_KNOWN_LOCK = threading.Lock()
 # past this x / sigma, exp(-x^2/2) has underflowed to 0: every Hermite function
 # is 0 and every integral at its limit, so the estimate reads as it does here
 _HERMITE_FLAT = 40.0
@@ -190,29 +204,55 @@ def _bisect_increasing(f, p, lo, hi, tol=1e-10, levels=1):
     return hi
 
 
-def _bisect_certified(f, p, lo, f_lo, hi, f_hi, tol=1e-10):
+def _recall(known, f, x):
+    # f(x) from a fit's table of one-point values, or computed and added to it
+    # while it has room
+    value = known.get(x)
+    if value is None:
+        value = f(x)
+        with _KNOWN_LOCK:
+            if len(known) < _KNOWN_CAP:
+                known[x] = value
+    return value
+
+
+def _bisect_certified(f, p, lo, f_lo, hi, f_hi, known, tol=1e-10):
     # _bisect_increasing(f, p, lo, hi, tol) bit for bit, for a non-decreasing
     # f of one point with f_lo = f(lo) < p <= f_hi = f(hi), in far fewer
-    # calls: locate, certify, replay (see the module docstring)
+    # calls: locate, certify, replay (see the module docstring).  known is the
+    # fit's table of one-point values of f, read and extended here
     if hi - lo <= tol:
         return hi
     seen = {lo: f_lo, hi: f_hi}
 
     def at(x):
         if x not in seen:
-            seen[x] = f(x)
+            seen[x] = _recall(known, f, x)
         return seen[x]
 
+    def straddle():
+        # the nearest evaluated points on either side of p
+        return (max(t for t, v in seen.items() if v < p),
+                min(t for t, v in seen.items() if v >= p))
+
+    # the tightest bracket the table knows inside [lo, hi], bisected over the
+    # sorted points of a snapshot, since other threads may extend the table;
+    # wherever the bisection stops, its two neighbours straddle p
+    snap = known.copy()
+    xs = sorted(snap)
+    i, k = bisect_left(xs, lo), bisect_right(xs, hi)
+    j = bisect_left(xs, p, i, k, key=snap.__getitem__)
+    if i < j < k:
+        seen.update({xs[j - 1]: snap[xs[j - 1]], xs[j]: snap[xs[j]]})
     # Brent's method locates x; the replay is exact for any x, so running out
     # of iterations only costs calls and must not raise
-    x = optimize.brentq(lambda t: at(t) - p, lo, hi, xtol=tol, disp=False)
+    x = optimize.brentq(lambda t: at(t) - p, *straddle(), xtol=tol, disp=False)
     # the closest points known to decide: lo and hi, whose values are exact
     # at themselves, and any evaluated point clear of p by _ETA; the probes
     # start from the slope between the nearest evaluated points across p
     lower = max([lo] + [t for t, v in seen.items() if v < p - _ETA])
     upper = min([hi] + [t for t, v in seen.items() if v >= p + _ETA])
-    a = max(t for t, v in seen.items() if v < p)
-    b = min(t for t, v in seen.items() if v >= p)
+    a, b = straddle()
     delta = 0.5 * tol + 4.0 * _ETA * (b - a) / (seen[b] - seen[a])
     step = delta
     while x - step > lower and at(x - step) >= p - _ETA:
@@ -337,6 +377,12 @@ class _Fitted:
         out = formula(np.atleast_1d(x).ravel())
         return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
+    @cached_property
+    def _known(self):
+        # {x: Fhat(x)} of the one-point values this fit's quantile searches
+        # have computed, shared by all its levels (see the module docstring)
+        return {}
+
     def _search(self, p, lo, hi):
         # inf{x: Fhat(x) >= p} for a non-decreasing fit: double the width of
         # [lo, hi] until Fhat(lo) < p <= Fhat(hi), within the domain and
@@ -344,7 +390,9 @@ class _Fitted:
         # domain's lower edge makes the edge itself the answer
         p = _check_level(p)
         floor, ceiling = max(self._lower, -_X_MAX), min(self._upper, _X_MAX)
-        f_lo = self.evaluate(lo)
+        known = self._known
+        value = partial(_recall, known, self.evaluate)
+        f_lo = value(lo)
         while f_lo >= p:
             if lo <= floor:
                 if floor == self._lower:
@@ -352,15 +400,15 @@ class _Fitted:
                 raise QuantileBracketError(
                     f"estimator exceeds level {p} already at x = {floor:g}")
             lo = max(floor, hi - 2.0 * (hi - lo))
-            f_lo = self.evaluate(lo)
-        f_hi = self.evaluate(hi)
+            f_lo = value(lo)
+        f_hi = value(hi)
         while f_hi < p:
             if hi >= ceiling:
                 raise QuantileBracketError(
                     f"estimator never reaches level {p} below x = {ceiling:g}")
             hi = min(ceiling, lo + 2.0 * (hi - lo))
-            f_hi = self.evaluate(hi)
-        return _bisect_certified(self.evaluate, p, lo, f_lo, hi, f_hi)
+            f_hi = value(hi)
+        return _bisect_certified(self.evaluate, p, lo, f_lo, hi, f_hi, known)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,10 @@ ISE against a known model is computed in u-space: with u = F(x),
     int_0^inf (Fhat(x) - F(x))^2 f(x) dx = int_0^1 (Fhat(F^-1(u)) - u)^2 du,
 
 evaluated by fixed-order Gauss-Legendre for the smooth estimators and
-exactly, segment by segment, for the step estimator.  Sweeps reuse the
+exactly, segment by segment, for the step estimator.  A model's nodes
+x = F^-1(u) are computed once per (model, order) and kept read-only with
+the unit nodes and weights (``_model_nodes``), so every ISE and sweep
+against that model reads the same arrays.  Sweeps reuse the
 same per-repetition samples across the whole parameter grid (common
 random numbers), and every repetition's seed is derived from
 (master_seed, repetition_index), so results are independent of scheduling.
@@ -126,6 +129,12 @@ class SweepResult:
     argmin_mise: float
     argmin_se: float
 
+    @property
+    def argmin_on_grid_edge(self):
+        """Whether the argmin is the grid's first or last value, where the
+        grid may not bracket the minimum."""
+        return self.argmin_param in (self.params[0], self.params[-1])
+
 
 @dataclass(frozen=True)
 class NormalityResult:
@@ -237,8 +246,23 @@ def _draw_chunk_rows(dist, n, workers):
 
 @lru_cache(maxsize=8)
 def _unit_nodes(order):
+    # Gauss-Legendre nodes and weights on [0, 1], read-only: every ISE and
+    # sweep at this order shares them
     t, w = np.polynomial.legendre.leggauss(int(order))
-    return 0.5 * (t + 1.0), 0.5 * w
+    u, w = 0.5 * (t + 1.0), 0.5 * w
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
+@lru_cache(maxsize=8)
+def _model_nodes(dist, order):
+    # the unit nodes u, their weights and x = F^-1(u) of one model, read-only,
+    # computed once per (model, order); models compare by their fields, whose
+    # functions compare by identity
+    u, w = _unit_nodes(order)
+    x = np.array(dist.quantile(u), dtype=float)
+    x.flags.writeable = False
+    return u, w, x
 
 
 def ise(fit, dist, nodes=512):
@@ -252,8 +276,7 @@ def ise(fit, dist, nodes=512):
     if isinstance(fit, EmpiricalCDF):
         u = np.asarray(dist.cdf(fit.sample), dtype=float)[None, :]
         return float(_edf_ise_from_u(u)[0])
-    u, w = _unit_nodes(nodes)
-    x = np.asarray(dist.quantile(u), dtype=float)
+    u, w, x = _model_nodes(dist, nodes)
     values = np.asarray(fit.evaluate(x), dtype=float)
     return float(np.sum(w * (values - u) ** 2))
 
@@ -268,7 +291,12 @@ def parameter_sweep(config, workers=1):
     """MISE over the whole grid with common random numbers.
 
     Ties in the argmin break toward the smaller parameter (the grid is
-    strictly increasing and the first minimum wins).
+    strictly increasing and the first minimum wins).  The output does not
+    depend on ``workers``.  The Szasz sweep's MISE does depend, in the last
+    bits, on the BLAS thread count: its count x weights product is a BLAS
+    call, whose sums can round differently on another number of threads.
+    Fix that count (``OPENBLAS_NUM_THREADS`` for OpenBLAS) to compare runs
+    bit for bit.
     """
     mise, se = _mean_and_se(_ise_matrix(config, workers))
     j = int(np.argmin(mise))
@@ -319,7 +347,6 @@ def _ise_matrix(config, workers=1):
     """Per-repetition, per-parameter ISE matrix of shape (M, len(grid))."""
     dist = config.dist
     samples = samples_matrix(dist, config.master_seed, config.M, config.n, workers)
-    u, w = _unit_nodes(config.quadrature_nodes)
     family = config.estimator_family
     cls = _KINDS[family][0]
     _check_sample(samples, cls._lower, cls._upper, what=f"{family} sweep sample")
@@ -328,7 +355,7 @@ def _ise_matrix(config, workers=1):
         col = _edf_ise_from_u(u_mat)
         return np.repeat(col[:, None], len(config.param_grid), axis=1)
 
-    rows, nodes = samples, np.asarray(dist.quantile(u), dtype=float)
+    rows, (u, w, nodes) = samples, _model_nodes(dist, config.quadrature_nodes)
     if family == "hermite_half":
         scale = float(dist.sd) if config.standardize else 1.0
         n_max = int(config.param_grid[-1])

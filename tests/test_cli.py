@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import platform
 
+import numpy as np
 import pytest
+import scipy
 
 from smoothcdf.cli import main
 
@@ -88,6 +92,7 @@ def test_sweep_command_and_determinism(tmp_path, exp2):
     summary = json.loads((out1 / "sweep_summary.json").read_text())
     assert summary["argmin_param"] == 5.0
     assert summary["argmin_mise"] > 0.0
+    assert summary["argmin_on_grid_edge"] is True  # a one-value grid is all edge
     manifest = json.loads((out1 / "sweep_manifest.json").read_text())
     manifest2 = json.loads((out2 / "sweep_manifest.json").read_text())
     assert manifest["config_digest"] == manifest2["config_digest"]
@@ -277,9 +282,16 @@ def test_each_command_writes_its_data_files_and_one_manifest_listing_them(
     manifest = json.loads((out / manifest_name).read_text())
     assert manifest["command"] == argv[0]
     assert manifest["outputs"] == [str(out / name) for name in data_files]
-    assert list(manifest) == ["command", "config_digest", "master_seed", "version",
-                              "started_at", "finished_at", "outputs"]
+    workers = ["workers"] if argv[0] in ("sweep", "normality") else []
+    assert list(manifest) == ["command", "config_digest", "master_seed", "version", "python",
+                              "numpy", "scipy", "cpu_count", *workers, "started_at",
+                              "finished_at", "peak_rss_bytes", "outputs"]
     assert manifest["started_at"] <= manifest["finished_at"]
+    assert manifest["python"] == platform.python_version()
+    assert (manifest["numpy"], manifest["scipy"]) == (np.__version__, scipy.__version__)
+    assert manifest["cpu_count"] == os.cpu_count()
+    assert manifest.get("workers", 1) == 1
+    assert manifest["peak_rss_bytes"] >= 1_000_000
     assert capsys.readouterr().out.endswith("\n")
 
 

@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -569,9 +571,9 @@ def _quantile_or_error(fit, p):
         return "QuantileBracketError"
 
 
-def _plain_bisection(f, p, lo, f_lo, hi, f_hi):
+def _plain_bisection(f, p, lo, f_lo, hi, f_hi, known):
     # the search before the certified one: the same bracket, then one
-    # midpoint per call of f
+    # midpoint per call of f; the fit's table of known values is not read
     return _bisect_increasing(f, p, lo, hi)
 
 
@@ -616,12 +618,13 @@ def test_certified_quantiles_keep_their_recorded_values(weibull1, beta33):
 
 
 def test_szasz_quantile_takes_at_most_20_evaluations_per_level(monkeypatch, weibull1):
-    # n = 1000, m = 100 as in the fit-query benchmark: the widening's two
-    # calls plus 37 one-point midpoints per level for the plain bisection,
-    # about 13 for the certified search.  The upper levels take the most
-    # (18 at 0.95): most of their bracket lies in the tail where the fit
-    # reads 1.0, and a secant step that lands there gains little
-    fit = szasz_fit(sample(weibull1, 0, 1000), 100)
+    # n = 1000, m = 100 as in the fit-query benchmark: the plain bisection
+    # takes the widening's two calls once per fit, since the bracket ends
+    # are the same for every level, plus 37 one-point midpoints per level;
+    # the certified search about 8 a level, starting Brent's method from the
+    # tightest bracket the earlier levels left in the fit's table
+    values = sample(weibull1, 0, 1000)
+    fit = szasz_fit(values, 100)
     levels = [i / 20.0 for i in range(1, 20)]
     sizes = []
     evaluate = SzaszEstimator.evaluate
@@ -633,10 +636,72 @@ def test_szasz_quantile_takes_at_most_20_evaluations_per_level(monkeypatch, weib
         per_level.append(len(sizes))
         sizes[:] = []
     monkeypatch.setattr(estimators, "_bisect_certified", _plain_bisection)
-    assert [fit.quantile(p) for p in levels] == certified
-    assert len(sizes) == 39 * len(levels) and set(sizes) == {1}
+    fresh = szasz_fit(values, 100)
+    assert [fresh.quantile(p) for p in levels] == certified
+    assert len(sizes) == 2 + 37 * len(levels) and set(sizes) == {1}
     assert sum(per_level) <= 20 * len(levels)
     assert max(per_level) <= 20
+    assert sum(per_level) <= 10 * len(levels)
+
+
+_SHARED_TABLE_FITS = {
+    "szasz": lambda unit, k: szasz_fit([3.0 * v for v in unit], k),
+    "kernel": lambda unit, k: kernel_fit([3.0 * v for v in unit], k / 100.0),
+    "bernstein": lambda unit, k: bernstein_fit(unit, k),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(_SHARED_TABLE_FITS)),
+       unit=st.one_of(_EDGE_SAMPLES, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60)),
+       k=st.integers(1, 300),
+       levels=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                       min_size=1, max_size=12).flatmap(
+           lambda ps: st.permutations(ps + ps[: len(ps) // 2])))
+def test_levels_on_one_fit_equal_the_plain_bisection_on_a_fresh_fit(kind, unit, k, levels):
+    # levels in any order, with repeats, all sharing one fit's table of
+    # known values: each answer has the bits of the plain bisection run on
+    # a fit that has answered nothing before
+    make = _SHARED_TABLE_FITS[kind]
+    fit = make(unit, k)
+    got = [_quantile_or_error(fit, p) for p in levels]
+    with mock.patch.object(estimators, "_bisect_certified", _plain_bisection):
+        assert got == [_quantile_or_error(make(unit, k), p) for p in levels]
+    assert len(fit._known) <= estimators._KNOWN_CAP
+
+
+def test_levels_asked_from_two_threads_equal_the_serial_answers(weibull1, beta33):
+    # one shared fit per family, its levels asked from two threads at once
+    # under a short switch interval, against the serial answers of a fresh
+    # fit; a table entry written under another point would move an answer
+    levels = [i / 40.0 for i in range(1, 40)] * 2
+    makers = [lambda: szasz_fit(sample(weibull1, 3, 500), 80),
+              lambda: kernel_fit(sample(weibull1, 3, 500), 0.1),
+              lambda: bernstein_fit(sample(beta33, 3, 500), 60)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for make in makers:
+            serial = [make().quantile(p) for p in levels]
+            shared = make()
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                assert list(pool.map(shared.quantile, levels, timeout=120)) == serial
+            assert 0 < len(shared._known) <= estimators._KNOWN_CAP
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_table_of_known_values_stays_within_its_cap(weibull1):
+    # many levels on one fit fill the table to its cap and no further; the
+    # levels past it still get the plain bisection's answers
+    values = sample(weibull1, 1, 300)
+    fit = kernel_fit(values, 0.2)
+    levels = [(i + 0.5) / 400.0 for i in range(400)]
+    got = [fit.quantile(p) for p in levels]
+    assert len(fit._known) == estimators._KNOWN_CAP
+    with mock.patch.object(estimators, "_bisect_certified", _plain_bisection):
+        fresh = kernel_fit(values, 0.2)
+        assert [fresh.quantile(p) for p in levels[-20:]] == got[-20:]
 
 
 def test_fit_from_spec(exp2):

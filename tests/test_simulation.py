@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import sys
@@ -31,8 +32,8 @@ from smoothcdf import (
     szasz_fit,
 )
 from smoothcdf.simulation import (
-    _NODE_BLOCK, _ise_matrix, _poisson_exponent_factors, _unit_nodes, repetition_seed,
-    samples_matrix,
+    _NODE_BLOCK, _ise_matrix, _model_nodes, _poisson_exponent_factors, _unit_nodes,
+    repetition_seed, samples_matrix,
 )
 from smoothcdf.special import poisson_log_pmf
 from smoothcdf.theory import truncation_floor, truncation_index
@@ -52,6 +53,25 @@ def test_ise_oracle_values(exp2):
     # the true CDF has zero error; the constant 0 integrates (0 - u)^2 to 1/3
     assert ise(_Oracle(exp2.cdf), exp2) == pytest.approx(0.0, abs=1e-12)
     assert ise(_Oracle(lambda x: np.zeros_like(x)), exp2) == pytest.approx(1.0 / 3.0, abs=1e-9)
+
+
+def test_quadrature_nodes_are_read_only_and_computed_once_per_model(exp2):
+    # every ISE and sweep at one order shares these arrays, so a write into
+    # them would change all later ones; the model's quantile runs once per
+    # (model, order), for ise and sweeps alike
+    calls = []
+    dist = dataclasses.replace(exp2, quantile=lambda u: calls.append(u.size) or exp2.quantile(u))
+    fit = szasz_fit([0.2, 0.5, 1.1], 3)
+    first = ise(fit, dist, nodes=48)
+    u, w = _unit_nodes(48)
+    same_u, same_w, x = _model_nodes(dist, 48)
+    assert same_u is u and same_w is w
+    for arr in (u, w, x):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
+    assert ise(fit, dist, nodes=48) == first
+    _ise_matrix(ExperimentConfig(dist, "kernel", (0.1,), n=5, M=2, quadrature_nodes=48))
+    assert calls == [48]
 
 
 def test_edf_ise_exact_formula(exp2):
@@ -243,8 +263,10 @@ def test_sweep_argmin_and_degenerate_grid(exp2):
     assert res.argmin_param == res.params[j]
     assert res.argmin_mise == res.mise[j]
     assert np.all(res.mise >= 0.0)
+    assert res.argmin_on_grid_edge == (j in (0, len(res.params) - 1))
     one = parameter_sweep(ExperimentConfig(exp2, "szasz", (7,), n=25, M=40, master_seed=2))
     assert one.argmin_param == 7.0
+    assert one.argmin_on_grid_edge
 
 
 def test_edf_sweep_constant_across_trivial_grid(exp2):
@@ -252,6 +274,7 @@ def test_edf_sweep_constant_across_trivial_grid(exp2):
     res = parameter_sweep(cfg)
     assert np.all(res.mise == res.mise[0])
     assert res.argmin_param == 1.0  # tie broken toward the smaller parameter
+    assert res.argmin_on_grid_edge
 
 
 def test_common_random_numbers_reuse(exp2):

@@ -45,6 +45,14 @@ def seed(name, v):
     return integer(name, v, lo=None) % 2**64
 
 
+def finite(name, v):
+    """v as a float in (-inf, inf)."""
+    f = _float(v)
+    if not math.isfinite(f):
+        raise ValueError(f"{name} must be finite")
+    return f
+
+
 def positive(name, v):
     """v as a float in (0, inf)."""
     f = _float(v)

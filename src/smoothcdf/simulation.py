@@ -52,7 +52,7 @@ import numpy as np
 from scipy import special as sp
 
 from . import _checks, estimators, models
-from ._checks import flag, integer
+from ._checks import finite, flag, integer, positive
 from .estimators import (
     _KINDS, KINDS, EmpiricalCDF, _bernstein_rows, _bernstein_survival, _check_sample,
     _hermite_coefficients, _in_chunks, _kernel_rows, _row_bincount, _szasz_orders,
@@ -78,6 +78,9 @@ __all__ = [
 ]
 
 _NODE_BLOCK = 64  # quadrature nodes sharing one Poisson band in the Szasz sweep
+# the most Gauss-Legendre nodes an ISE or sweep may ask for: leggauss takes
+# the eigenvalues of a dense order x order matrix, 34 MB at this order
+_MAX_NODES = 2048
 # the seed_seq_fe constants of numpy.random.SeedSequence
 _MASK32 = 0xFFFF_FFFF
 _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
@@ -114,8 +117,10 @@ class ExperimentConfig:
         for p in grid:  # the fit's own check of its parameter
             _KINDS[self.estimator_family][2](p)
         object.__setattr__(self, "param_grid", grid)
-        for name, lo in (("n", 1), ("M", 1), ("quadrature_nodes", 2), ("master_seed", 0)):
+        for name, lo in (("n", 1), ("M", 1), ("master_seed", 0)):
             object.__setattr__(self, name, integer(name, getattr(self, name), lo))
+        object.__setattr__(self, "quadrature_nodes",
+                           _node_count("quadrature_nodes", self.quadrature_nodes))
         if flag("standardize", self.standardize) and self.estimator_family != "hermite_half":
             raise ValueError(f"standardize applies to hermite_half, not {self.estimator_family}")
 
@@ -244,6 +249,14 @@ def _draw_chunk_rows(dist, n, workers):
     return max(1, budget // (4 * max(1, int(workers)) * dist.invert_width * n))
 
 
+def _node_count(name, v):
+    # a Gauss-Legendre order in [2, _MAX_NODES], as ise and ExperimentConfig take it
+    nodes = integer(name, v, lo=2)
+    if nodes > _MAX_NODES:
+        raise ValueError(f"{name} must be at most {_MAX_NODES}")
+    return nodes
+
+
 @lru_cache(maxsize=8)
 def _unit_nodes(order):
     # Gauss-Legendre nodes and weights on [0, 1], read-only: every ISE and
@@ -270,9 +283,10 @@ def ise(fit, dist, nodes=512):
 
     ``fit`` is anything with a vectorized ``evaluate``; the step estimator
     is integrated exactly over its u-space segments instead of by
-    quadrature (the integrand jumps at every observation).
+    quadrature (the integrand jumps at every observation).  ``nodes``, the
+    Gauss-Legendre order, lies in [2, 2048].
     """
-    nodes = integer("nodes", nodes, lo=2)
+    nodes = _node_count("nodes", nodes)
     if isinstance(fit, EmpiricalCDF):
         u = np.asarray(dist.cdf(fit.sample), dtype=float)[None, :]
         return float(_edf_ise_from_u(u)[0])
@@ -331,8 +345,14 @@ def normality_experiment(dist, estimator_spec, x, n, M, master_seed, workers=1):
 
 
 def ks_distance_normal(values, mean, sd):
-    """One-sample Kolmogorov-Smirnov distance against a normal law."""
-    v = np.sort(np.asarray(values, dtype=float))
+    """One-sample Kolmogorov-Smirnov distance of ``values`` against N(mean, sd**2).
+
+    ``values`` must be non-empty and finite, ``mean`` finite and ``sd`` positive.
+    """
+    v = np.sort(np.asarray(values, dtype=float).ravel())
+    if not (v.size and np.isfinite(v).all()):
+        raise ValueError("values must be finite and not empty")
+    mean, sd = finite("mean", mean), positive("sd", sd)
     m = v.size
     ref = sp.ndtr((v - mean) / sd)
     i = np.arange(1, m + 1)

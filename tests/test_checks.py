@@ -11,6 +11,7 @@ from smoothcdf import (
     deficiency_asymptotic,
     edf_fit,
     ise,
+    ks_distance_normal,
     make_beta,
     make_exponential,
     make_weibull_mixture,
@@ -23,7 +24,7 @@ from smoothcdf import (
     szasz_fit,
     weighted_L_integral,
 )
-from smoothcdf._checks import integer, nonnegative, positive, seed
+from smoothcdf._checks import finite, integer, nonnegative, positive, seed
 from smoothcdf.simulation import ExperimentConfig, repetition_seed, samples_matrix
 
 
@@ -65,6 +66,10 @@ def test_positive_and_nonnegative_reject_nan_and_infinities():
     for value in (-1.0, math.nan, math.inf, -math.inf, None):
         with pytest.raises(ValueError, match="^a must be >= 0 and finite$"):
             nonnegative("a", value)
+    assert finite("mean", np.float64(-2.5)) == -2.5
+    for value in (math.nan, math.inf, -math.inf, None, "x"):
+        with pytest.raises(ValueError, match="^mean must be finite$"):
+            finite("mean", value)
 
 
 _NAN, _INF = math.nan, math.inf
@@ -112,6 +117,16 @@ _NAN, _INF = math.nan, math.inf
     ("nodes", lambda d: ise(szasz_fit([0.2, 0.5, 1.1], 3), d, nodes=2.5)),
     ("nodes", lambda d: ise(szasz_fit([0.2, 0.5, 1.1], 3), d, nodes=0)),
     ("nodes", lambda d: ise(edf_fit([0.2, 0.5, 1.1]), d, nodes=_NAN)),
+    ("nodes", lambda d: ise(szasz_fit([0.2, 0.5, 1.1], 3), d, nodes=2049)),
+    ("quadrature_nodes", lambda d: ExperimentConfig(d, "szasz", (2, 3), n=10, M=5,
+                                                    quadrature_nodes=100_000)),
+    ("values", lambda d: ks_distance_normal([], 0.0, 1.0)),
+    ("values", lambda d: ks_distance_normal([0.1, _NAN], 0.0, 1.0)),
+    ("values", lambda d: ks_distance_normal([0.1, _INF], 0.0, 1.0)),
+    ("mean", lambda d: ks_distance_normal([0.1, 0.2], _NAN, 1.0)),
+    ("sd", lambda d: ks_distance_normal([0.1, 0.2], 0.0, -1.0)),
+    ("sd", lambda d: ks_distance_normal([0.1, 0.2], 0.0, 0.0)),
+    ("sd", lambda d: ks_distance_normal([0.1, 0.2], 0.0, _NAN)),
 ])
 def test_invalid_arguments_raise_one_error_naming_them(exp2, name, call):
     # each of these used to run, return NaN, or fail with an error that named
@@ -119,6 +134,8 @@ def test_invalid_arguments_raise_one_error_naming_them(exp2, name, call):
     # RuntimeError after weighted_L_integral's full loop); a master_seed of
     # 1.7 swept seed 1, and standardize="false" standardized; a seed of 1.7
     # drew seed 1, repetition_seed(1.7, 2.5) was repetition_seed(1, 2), and
-    # nodes=2.5 integrated with 2 nodes
+    # nodes=2.5 integrated with 2 nodes; quadrature_nodes=100000 would have
+    # asked leggauss for an 80 GB matrix, and ks_distance_normal returned 0.579
+    # at sd=-1, 1.0 at sd=0 and NaN at a NaN
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
         call(exp2)

@@ -113,6 +113,16 @@ def test_sweep_config_errors(tmp_path):
     assert main(["sweep", "--config", str(unknown), "--out-dir", str(tmp_path)]) == 2
 
 
+def test_sweep_rejects_more_quadrature_nodes_than_its_bound(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "dist": {"kind": "exponential", "rate": 2}, "estimator_family": "szasz",
+        "param_grid": [2], "n": 5, "M": 2, "quadrature_nodes": 100_000,
+    }), encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "quadrature_nodes must be at most 2048" in capsys.readouterr().err
+
+
 def test_sweep_rejects_grid_outside_the_family_domain(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -4,11 +4,12 @@ import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import gammainc, ndtr, ndtri
@@ -558,7 +559,7 @@ def test_estimator_properties_on_edge_samples(kind, unit, k, p, scale):
     except QuantileBracketError:
         assert kind == "hermite_half"  # its series may stay below the level
         return
-    # q is inf{x: Fhat(x) >= p}, to the bisection's 1e-10
+    # q is inf{x: Fhat(x) >= p}, to the search's 1e-10 + 4 eps |q|
     assert fit.evaluate(q) >= p
     if kind != "hermite_half" and q > 0.0:
         assert fit.evaluate(q - 1e-9) <= p
@@ -571,10 +572,26 @@ def _quantile_or_error(fit, p):
         return "QuantileBracketError"
 
 
-def _plain_bisection(f, p, lo, f_lo, hi, f_hi, known):
-    # the search before the certified one: the same bracket, then one
-    # midpoint per call of f; the fit's table of known values is not read
-    return _bisect_increasing(f, p, lo, hi)
+_EPS = np.finfo(float).eps
+
+
+def _quantile_and_evaluations(fit, p):
+    # fit.quantile(p), or "QuantileBracketError", and the one-point values
+    # evaluate returned during the search
+    seen = {}
+    evaluate = type(fit).evaluate
+    with mock.patch.object(type(fit), "evaluate",
+                           lambda self, x: seen.setdefault(float(x), evaluate(self, x))):
+        return _quantile_or_error(fit, p), seen
+
+
+def _meets_the_quantile_contract(fit, p, q, seen):
+    # Fhat(q) >= p, and unless q is the domain's lower edge an evaluated point
+    # no more than 1e-10 + 4 eps |q| below q has Fhat < p
+    q = float.fromhex(q)
+    below = [x for x, v in seen.items() if x < q and v < p]
+    return seen[q] >= p and (q == fit._lower or q - max(below) <= 1e-10 + 4 * _EPS * abs(q))
+
 
 
 @settings(max_examples=150, deadline=None)
@@ -583,23 +600,30 @@ def _plain_bisection(f, p, lo, f_lo, hi, f_hi, known):
        m=st.integers(1, 500), h=st.floats(1e-3, 5.0),
        p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
        scale=st.sampled_from([1.0, 1e-300, 1e6]))
-def test_certified_quantile_equals_the_plain_bisection_bitwise(kind, unit, m, h, p, scale):
+@example(kind="szasz", unit=[0.0], m=1, h=1.0, p=0.5, scale=1.0)
+@example(kind="kernel", unit=[0.0], m=1, h=1.0, p=0.01, scale=1.0)
+def test_quantile_meets_its_tolerance_contract(kind, unit, m, h, p, scale):
     # n = 1, ties, exact zeros and random samples at three scales (Bernstein
-    # data stay in [0, 1]); a level that is never reached raises in both
+    # data stay in [0, 1]); a level that is never reached raises, and only
+    # where the bracket's end is short of it.  At the two examples Brent's
+    # method evaluates a point whose value is exactly p
     values = [v * (min(scale, 1.0) if kind == "bernstein" else scale) for v in unit]
     fit = fit_from_spec({"kind": kind, "h": h} if kind == "kernel" else {"kind": kind, "m": m},
                         values)
-    got = _quantile_or_error(fit, p)
-    with mock.patch.object(estimators, "_bisect_certified", _plain_bisection):
-        assert got == _quantile_or_error(fit, p)
+    q, seen = _quantile_and_evaluations(fit, p)
+    if q == "QuantileBracketError":
+        assert min(seen) == -1e6 and seen[-1e6] >= p or seen[max(seen)] < p
+    else:
+        assert _meets_the_quantile_contract(fit, p, q, seen)
 
 
 def test_certified_quantiles_keep_their_recorded_values(weibull1, beta33):
     fits = [szasz_fit(sample(weibull1, 5, 400), 60), kernel_fit(sample(weibull1, 5, 400), 0.2),
             bernstein_fit(sample(beta33, 5, 400), 40)]
     got = [[fit.quantile(i / 20.0) for i in range(1, 20)] for fit in fits]
-    # recorded from the search that bisected one midpoint per evaluate
-    assert got == [
+    # recorded from the search that bisected one midpoint per evaluate; both
+    # searches stop within their tolerance above the same crossing
+    want = [
         [0.12443553481756621, 0.23546330151808, 0.3631344352688374, 0.491673194676842,
          0.6212190389084058, 0.8092310769202092, 1.0328939050206714, 1.4418244263716748,
          1.853386469374119, 2.1505071696910183, 2.471266689673909, 2.7686655242423517,
@@ -615,14 +639,72 @@ def test_certified_quantiles_keep_their_recorded_values(weibull1, beta33):
          0.46729916107142344, 0.49689181422581896, 0.5265674616675824, 0.5566449165344238,
          0.5874355674604885, 0.6192962171626277, 0.652712071838323, 0.6884717090288177,
          0.728063631511759, 0.7746444224612787, 0.8363381584640592]]
+    for row, recorded in zip(got, want):
+        for q, r in zip(row, recorded):
+            assert abs(q - r) <= 1e-10 + 4 * _EPS * abs(r)
+
+
+def _mp_cdf(fit, x):
+    # the fit's estimate at x in 50-digit arithmetic: the regularized
+    # incomplete gamma, normal and incomplete beta forms of its family
+    import mpmath
+    x = mpmath.mpf(x)
+    if fit.kind == "szasz":
+        terms = [(mpmath.gammainc(int(c), 0, fit.m * x, regularized=True), k)
+                 for c, k in zip(fit.orders, fit.counts)]
+    elif fit.kind == "bernstein":
+        terms = [(mpmath.betainc(int(c), fit.m - int(c) + 1, 0, x, regularized=True)
+                  if c > 0 else mpmath.mpf(1), k) for c, k in zip(fit.orders, fit.counts)]
+    else:
+        terms = [(mpmath.ncdf((x - mpmath.mpf(v)) / mpmath.mpf(fit.h)), 1) for v in fit.sample]
+    return mpmath.fsum(v * int(k) for v, k in terms) / fit.n
+
+
+def _mp_crossing(fit, level, lo, hi):
+    # a bracket [a, b] no wider than 1e-12 with F(a) < level <= F(b), F the
+    # 50-digit estimate, by bisection from F(lo) < level <= F(hi)
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if _mp_cdf(fit, mid) >= level:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+_FLOAT_ERROR = 1e-13  # a bound on |Fhat - the 50-digit estimate| of these fits
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["szasz", "kernel", "bernstein"]),
+       unit=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+       m=st.integers(1, 100), h=st.floats(0.01, 1.0), p=st.floats(0.001, 0.999))
+def test_quantile_agrees_with_a_50_digit_bisection(kind, unit, m, h, p):
+    # an independent reference: the crossing of the 50-digit estimate,
+    # bisected.  The fit's float values are off by at most _FLOAT_ERROR, so
+    # its answer lies between the crossings of p - _FLOAT_ERROR and
+    # p + _FLOAT_ERROR, the second widened by the contract's tolerance; the
+    # float error is checked at the answer, and the reference brackets add
+    # at most 1e-12
+    mpmath = pytest.importorskip("mpmath")
+    values = [v * (1.0 if kind == "bernstein" else 3.0) for v in unit]
+    fit = fit_from_spec({"kind": kind, "h": h} if kind == "kernel" else {"kind": kind, "m": m},
+                        values)
+    q = fit.quantile(p)
+    lo, hi = ((0.0, 1.0) if kind == "bernstein" else
+              (0.0, 100.0) if kind == "szasz" else (min(values) - 40 * h, max(values) + 40 * h))
+    with mpmath.workdps(50):
+        assert abs(_mp_cdf(fit, q) - fit.evaluate(q)) <= _FLOAT_ERROR
+        low, _ = _mp_crossing(fit, p - _FLOAT_ERROR, lo, hi)
+        _, high = _mp_crossing(fit, p + _FLOAT_ERROR, lo, hi)
+    assert low <= q <= high + 1e-10 + 4 * _EPS * abs(q)
+
 
 
 def test_szasz_quantile_takes_at_most_20_evaluations_per_level(monkeypatch, weibull1):
-    # n = 1000, m = 100 as in the fit-query benchmark: the plain bisection
-    # takes the widening's two calls once per fit, since the bracket ends
-    # are the same for every level, plus 37 one-point midpoints per level;
-    # the certified search about 8 a level, starting Brent's method from the
-    # tightest bracket the earlier levels left in the fit's table
+    # n = 1000, m = 100 as in the fit-query benchmark: the first level also
+    # evaluates the bracket ends, which every level shares, and Brent's
+    # method then takes about 9 one-point calls a level
     values = sample(weibull1, 0, 1000)
     fit = szasz_fit(values, 100)
     levels = [i / 20.0 for i in range(1, 20)]
@@ -630,16 +712,12 @@ def test_szasz_quantile_takes_at_most_20_evaluations_per_level(monkeypatch, weib
     evaluate = SzaszEstimator.evaluate
     monkeypatch.setattr(SzaszEstimator, "evaluate",
                         lambda self, x: sizes.append(np.size(x)) or evaluate(self, x))
-    certified, per_level = [], []
+    per_level = []
     for p in levels:
-        certified.append(fit.quantile(p))
+        fit.quantile(p)
         per_level.append(len(sizes))
+        assert set(sizes) == {1}
         sizes[:] = []
-    monkeypatch.setattr(estimators, "_bisect_certified", _plain_bisection)
-    fresh = szasz_fit(values, 100)
-    assert [fresh.quantile(p) for p in levels] == certified
-    assert len(sizes) == 2 + 37 * len(levels) and set(sizes) == {1}
-    assert sum(per_level) <= 20 * len(levels)
     assert max(per_level) <= 20
     assert sum(per_level) <= 10 * len(levels)
 
@@ -658,16 +736,14 @@ _SHARED_TABLE_FITS = {
        levels=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                        min_size=1, max_size=12).flatmap(
            lambda ps: st.permutations(ps + ps[: len(ps) // 2])))
-def test_levels_on_one_fit_equal_the_plain_bisection_on_a_fresh_fit(kind, unit, k, levels):
+def test_levels_on_one_fit_equal_a_fresh_fit_bitwise(kind, unit, k, levels):
     # levels in any order, with repeats, all sharing one fit's table of
-    # known values: each answer has the bits of the plain bisection run on
-    # a fit that has answered nothing before
+    # bracket points: each answer has the bits of a fit that has answered
+    # nothing before
     make = _SHARED_TABLE_FITS[kind]
     fit = make(unit, k)
-    got = [_quantile_or_error(fit, p) for p in levels]
-    with mock.patch.object(estimators, "_bisect_certified", _plain_bisection):
-        assert got == [_quantile_or_error(make(unit, k), p) for p in levels]
-    assert len(fit._known) <= estimators._KNOWN_CAP
+    assert [_quantile_or_error(fit, p) for p in levels] == [
+        _quantile_or_error(make(unit, k), p) for p in levels]
 
 
 def test_levels_asked_from_two_threads_equal_the_serial_answers(weibull1, beta33):
@@ -682,26 +758,39 @@ def test_levels_asked_from_two_threads_equal_the_serial_answers(weibull1, beta33
     sys.setswitchinterval(1e-6)
     try:
         for make in makers:
-            serial = [make().quantile(p) for p in levels]
+            fresh = make()
+            serial = [fresh.quantile(p) for p in levels]
             shared = make()
             with ThreadPoolExecutor(max_workers=2) as pool:
                 assert list(pool.map(shared.quantile, levels, timeout=120)) == serial
-            assert 0 < len(shared._known) <= estimators._KNOWN_CAP
+            assert shared._known == fresh._known
     finally:
         sys.setswitchinterval(interval)
 
 
-def test_table_of_known_values_stays_within_its_cap(weibull1):
-    # many levels on one fit fill the table to its cap and no further; the
-    # levels past it still get the plain bisection's answers
+def test_table_of_known_values_holds_only_bracket_points(weibull1):
+    # 400 levels on one fit: the table keeps the two starting bracket ends
+    # and the one doubling downward that the lowest levels need, nothing of
+    # Brent's method, and asking the levels again leaves it and the answers
+    # as they were
     values = sample(weibull1, 1, 300)
     fit = kernel_fit(values, 0.2)
     levels = [(i + 0.5) / 400.0 for i in range(400)]
     got = [fit.quantile(p) for p in levels]
-    assert len(fit._known) == estimators._KNOWN_CAP
-    with mock.patch.object(estimators, "_bisect_certified", _plain_bisection):
-        fresh = kernel_fit(values, 0.2)
-        assert [fresh.quantile(p) for p in levels[-20:]] == got[-20:]
+    lo, hi = values.min() - 0.2, 2.0 * values.max() + 10.0 * 0.2
+    assert sorted(fit._known) == [hi - 2.0 * (hi - lo), lo, hi]
+    table = dict(fit._known)
+    assert [fit.quantile(p) for p in levels] == got
+    assert fit._known == table
+
+
+def test_a_quantile_search_that_does_not_converge_raises(monkeypatch, weibull1):
+    # Brent's method cut to three iterations: the search raises rather than
+    # return an answer outside its tolerance
+    monkeypatch.setattr(estimators.optimize, "brentq",
+                        partial(estimators.optimize.brentq, maxiter=3))
+    with pytest.raises(RuntimeError, match="converge"):
+        kernel_fit(sample(weibull1, 1, 50), 0.2).quantile(0.5)
 
 
 def test_fit_from_spec(exp2):

@@ -18,12 +18,15 @@ optional ``standardize`` and, only when that is true, ``sigma``.
 and the check of its parameter, one of the shared checks of ``_checks``;
 the spec parser and ``simulation``'s sweep config read it.  The smooth
 half-line estimator is evaluated through its finite incomplete-gamma
-representation: with c_i = max(1, ceil(m X_i)),
+representation: with c_i = max(1, the least k with k / m >= X_i),
 
     Fhat(x) = (1/n) sum_i P(c_i, m x),
 
 where P is the regularized lower incomplete gamma function; the Szasz
-sweep uses the Poisson series form and is tested against this one.
+sweep uses the Poisson series form and is tested against this one.  The
+quotient k / m is taken as the EDF takes it, so c_i is the grid point
+where F_n(k / m) first counts X_i (``_grid_orders``), the Bernstein
+orders too; ceil(m X_i) can round to its other side.
 Observations sharing an order give equal terms, so the Szasz and
 Bernstein fits keep the distinct orders of their sample and their counts.
 The Szasz fit computes one incomplete gamma (and one Poisson weight for
@@ -35,35 +38,40 @@ builds its survival table only for the occupied orders, at most
 min(n, m + 1) rows; the Bernstein sweep keeps the full table.
 
 Quantiles are inf{x: Fhat(x) >= p}.  The EDF takes the k-th order
-statistic for the smallest k with k / n >= p.  The Szasz, Bernstein and
-kernel fits are non-decreasing, so their quantile is the one root of
-Fhat(x) = p.  Their search widens a bracket [lo, hi] with Fhat(lo) < p <=
-Fhat(hi), then runs Brent's method (``scipy.optimize.brentq``) over it to
-``_XTOL`` = 1e-10, one point per ``evaluate``.  It returns the least
-point q evaluated with Fhat(q) >= p, a value equal to p counting as above
-p, so Brent's method never stops on it.  Then some evaluated point no more
-than 1e-10 + 4 eps |q| below q has Fhat < p; a search that does not
-converge raises.  Each fit keeps the values at the points its bracket
+statistic for the smallest k with k / n >= p.  Every smooth fit ends in one
+step, ``_Fitted._brent``: from a bracket [lo, hi] with Fhat(lo) < p <=
+Fhat(hi), Brent's method (``scipy.optimize.brentq``) runs to ``_XTOL`` =
+1e-10, one point per ``evaluate``, and the step returns the least point q
+evaluated with Fhat(q) >= p, a value equal to p counting as above p, so
+Brent's method never stops on it.  Then some evaluated point no more than
+1e-10 + 4 eps |q| below q has Fhat < p; a search that does not converge
+within ``_BRENT_MAXITER`` iterations raises.  Bracket ends stay within
++-``_X_END``, half the largest float, so their distance is finite.
+
+The Szasz, Bernstein and kernel fits are non-decreasing, so their quantile
+is the one root of Fhat(x) = p.  Their search widens the bracket until it
+holds the level.  Each fit keeps the values at the points its bracket
 widened through (``_Fitted._known``): every level starts from the same
 bracket, so these are computed once per fit, and they are as many as the
 doublings, two or three after hundreds of levels.  Brent's method reads
 nothing else from other levels, so each answer is a function of the fit
 and p alone, whatever levels or threads came before.
 
-The Hermite series need not be monotone.  Its search finds the first upcrossing
-on a 4097-point grid, which each fit evaluates once and keeps read-only for
-every level, and bisects that cell six levels per ``evaluate``, whose cost
-is nearly all per call.  A Hermite value at a point does not depend on the
-other points evaluated with it, so the answers are bit-identical to one
-midpoint per call.
+The Hermite series need not be monotone.  Its search finds the first
+upcrossing on a 4097-point grid, which each fit evaluates once and keeps
+read-only for every level, and runs the Brent step in that cell from its
+two grid values.  A Hermite value at a point does not depend on the other
+points evaluated with it, so those values are what one-point calls would
+return.  Fhat(0) = 0 exactly, since every integral of the ladder is 0
+there, so the cell always has a grid point below the level.
 
 Work over many rows or points goes in chunks (``_in_chunks``) whose
 arrays held at once, temporaries included, have at most
-``_ELEMENT_BUDGET`` elements.  The Szasz and kernel ``evaluate`` and the
-Szasz ``density`` take their points so.  A chunk of exactly one point
-averages over the observations in another order than a wider chunk does,
-so its value can differ in the last bit from the same point evaluated
-among others.
+``_ELEMENT_BUDGET`` elements.  The Szasz, kernel and Hermite ``evaluate``
+and the Szasz ``density`` take their points so.  In the Szasz and kernel
+forms a chunk of exactly one point averages over the observations in
+another order than a wider chunk does, so its value can differ in the last
+bit from the same point evaluated among others.
 
 Evaluation points are finite, but m x, (x - X_i) / h and x / sigma can
 overflow to +-inf at the largest of them; every family then reads its limit
@@ -108,13 +116,25 @@ _X_MAX = 1e6  # quantile bracketing gives up past this point
 _FLOAT_MAX = float(np.finfo(float).max)  # the largest finite float
 _ELEMENT_BUDGET = 250_000  # array elements one chunk of rows or points may allocate
 _XTOL = 1e-10  # the width Brent's method brings a quantile bracket down to
+_X_END = _FLOAT_MAX / 2  # quantile brackets and scans end within +-this
+# Brent's method's iteration cap.  A bracket within +-_X_END is under 2**1024
+# wide, and halving brings it to _XTOL > 2**-34 in at most 1024 + 34 = 1058
+# steps; the cap is about 2.8 times that, room for the interpolation steps
+# brentq takes between its halvings
+_BRENT_MAXITER = 3000
 # past this x / sigma, exp(-x^2/2) has underflowed to 0: every Hermite function
 # is 0 and every integral at its limit, so the estimate reads as it does here
 _HERMITE_FLAT = 40.0
 
 
 class QuantileBracketError(RuntimeError):
-    """The estimate does not cross the requested level within |x| <= 1e6."""
+    """The estimate does not cross the requested level within the search's bracket.
+
+    The bracket widens to |x| <= 1e6, or stays at its first ends where the
+    data already put them farther out, within half the largest float;
+    answers beyond 1e6 are returned when the first bracket holds them.  The
+    message names the bracket end reached.
+    """
 
 
 def _as_sample(values, lower=0.0, upper=None):
@@ -156,35 +176,6 @@ def _check_level(p):
     return p
 
 
-def _bisect_increasing(f, p, lo, hi, tol=1e-10, levels=1):
-    # invariant: f(lo) < p <= f(hi); returns inf{x: f(x) >= p} within tol,
-    # after at most 200 halvings.  Each call of f takes the 2**levels - 1
-    # midpoints of the next `levels` halvings at once, heap-ordered (node i
-    # splits into 2i + 1 and 2i + 2); the walk down that tree halves as one
-    # midpoint per call would, so for an f whose value at a point does not
-    # depend on the other points the answer does not depend on levels
-    steps = 0
-    while steps < 200 and hi - lo > tol:
-        depth = min(levels, 200 - steps)
-        ends, mids = [(lo, hi)], []
-        for node in range(2 ** depth - 1):
-            a, b = ends[node]
-            mid = 0.5 * (a + b)
-            mids.append(mid)
-            ends += (a, mid), (mid, b)
-        values = f(mids)
-        node = 0
-        for _ in range(depth):
-            if hi - lo <= tol:
-                break
-            if values[node] >= p:
-                hi, node = mids[node], 2 * node + 1
-            else:
-                lo, node = mids[node], 2 * node + 2
-            steps += 1
-    return hi
-
-
 def _in_chunks(fn, items, width):
     # fn over blocks of at most _ELEMENT_BUDGET // width items along the first
     # axis, results joined; width is the most array elements, temporaries
@@ -204,12 +195,31 @@ def _row_bincount(idx, width_max):
     return counts.reshape(n_rows, width).astype(float)
 
 
+def _grid_orders(samples, m):
+    # the least k with k / m >= X_i, the quotient taken as the EDF takes it:
+    # the grid point k / m where F_n first counts X_i, and the EDF quantile's
+    # order statistic.  t = m X_i rounds once, so ceil(t) is off, by one,
+    # only where t lies within 2**-52 t of an integer; where some t lies
+    # within 2**-50 max(ceil(t)) of one, every order is checked against the
+    # quotients themselves
+    x = np.asarray(samples, dtype=float)
+    t = m * x
+    c = np.ceil(t)
+    tol = 2.0 ** -50 * c.max()
+    t -= c  # minus the distance up to the next integer, in (-1, 0]
+    if t.max() >= -tol or t.min() <= tol - 1.0:
+        c -= (c - 1.0) / m >= x
+        c += c / m < x
+    return c.astype(np.int64)
+
+
 def _szasz_orders(samples, m):
-    # c_i = max(1, ceil(m X_i)); from 2**53 on a float no longer holds that integer
+    # c_i = max(1, the grid order of X_i); from 2**53 on a float no longer
+    # holds that integer
     if m * float(np.max(samples)) >= 2.0 ** 53:
         raise ValueError(f"m = {m} times the largest observation {float(np.max(samples)):g} "
                          "is too large for ceil(m X) to be an exact integer (limit 2**53)")
-    return np.maximum(1, np.ceil(m * samples)).astype(np.int64)
+    return np.maximum(1, _grid_orders(samples, m))
 
 
 def _szasz_rows(samples, m, x):
@@ -231,7 +241,7 @@ def _kernel_rows(samples, h, x):
 
 
 def _bernstein_orders(samples, m):
-    return np.ceil(m * samples).astype(np.int64).clip(0, m)
+    return _grid_orders(samples, m).clip(0, m)
 
 
 def _bernstein_survival(m, x, orders=None):
@@ -247,8 +257,9 @@ def _bernstein_survival(m, x, orders=None):
 
 def _bernstein_rows(samples, m, survival):
     # Fhat per sample row: sum_k F_n(k/m) b_{k,m}(x) = (1/n) sum_c #{c_i = c} S[c]
-    # with c_i = ceil(m X_i) and S = _bernstein_survival(m, x); holds at most
-    # 2 (n + m + 1) elements per row at once, and the result
+    # with c_i the grid order of X_i (_grid_orders) and S =
+    # _bernstein_survival(m, x); holds at most 2 (n + m + 1) elements per row
+    # at once, and the result
     return _row_bincount(_bernstein_orders(samples, m), m) @ survival / samples.shape[1]
 
 
@@ -301,10 +312,13 @@ class _Fitted:
     def _search(self, p, lo, hi):
         # inf{x: Fhat(x) >= p} for a non-decreasing fit: double the width of
         # [lo, hi] until Fhat(lo) < p <= Fhat(hi), within the domain and
-        # +-_X_MAX, then run Brent's method over it and return the least
-        # point evaluated at or above p.  Fhat(lo) >= p at the domain's lower
-        # edge makes the edge itself the answer
+        # +-_X_MAX, then run Brent's method over it.  Fhat(lo) >= p at the
+        # domain's lower edge makes the edge itself the answer.  Ends within
+        # +-_X_END keep hi - lo finite; every family's starting bracket has
+        # lo <= hi / 2 unless hi was cut to _X_END, so the cut cannot close it
         p = _check_level(p)
+        hi = min(hi, _X_END)
+        lo = max(min(lo, 0.5 * hi), -_X_END)
         floor, ceiling = max(self._lower, -_X_MAX), min(self._upper, _X_MAX)
         known = self._known
 
@@ -318,14 +332,18 @@ class _Fitted:
             if lo <= floor:
                 if floor == self._lower:
                     return lo
-                raise QuantileBracketError(
-                    f"estimator exceeds level {p} already at x = {floor:g}")
+                raise QuantileBracketError(f"estimator exceeds level {p} already at x = {lo:g}")
             lo = max(floor, hi - 2.0 * (hi - lo))
         while value(hi) < p:
             if hi >= ceiling:
-                raise QuantileBracketError(
-                    f"estimator never reaches level {p} below x = {ceiling:g}")
+                raise QuantileBracketError(f"estimator never reaches level {p} below x = {hi:g}")
             hi = min(ceiling, lo + 2.0 * (hi - lo))
+        return self._brent(p, lo, hi, known)
+
+    def _brent(self, p, lo, hi, known):
+        # the least point evaluated with Fhat >= p by Brent's method over
+        # [lo, hi], where Fhat(lo) < p <= Fhat(hi); known maps points to
+        # their values, read in place of evaluating them
         upper = hi
 
         def excess(x):
@@ -338,7 +356,7 @@ class _Fitted:
             upper = min(upper, x)
             return max(v - p, math.ulp(0.0))
 
-        optimize.brentq(excess, lo, hi, xtol=_XTOL)
+        optimize.brentq(excess, lo, hi, xtol=_XTOL, maxiter=_BRENT_MAXITER)
         return upper
 
 
@@ -353,16 +371,10 @@ class EmpiricalCDF(_Fitted):
         return np.searchsorted(self.sample, flat, side="right") / self.n
 
     def quantile(self, p):
-        # inf{x: F_n(x) >= p} is the k-th order statistic for the smallest k
-        # with k / n >= p, the quotient taken as _cdf takes it; ceil(n p) is
-        # off by at most one, since n p rounds once
-        p, n = _check_level(p), self.n
-        k = min(max(math.ceil(n * p), 1), n)
-        if k > 1 and (k - 1) / n >= p:
-            k -= 1
-        elif k / n < p:
-            k += 1
-        return float(self.sample[k - 1])
+        # inf{x: F_n(x) >= p} is the k-th order statistic for the least k
+        # with k / n >= p, the quotient taken as _cdf takes it; 0 < p < 1
+        # puts k in 1..n
+        return float(self.sample[_grid_orders(_check_level(p), self.n) - 1])
 
 
 @dataclass(frozen=True)
@@ -371,7 +383,7 @@ class SzaszEstimator(_Fitted):
 
     sample: np.ndarray
     m: int
-    orders: np.ndarray  # the distinct c_i = max(1, ceil(m X_i)), increasing
+    orders: np.ndarray  # the distinct c_i = max(1, least k with k / m >= X_i), increasing
     counts: np.ndarray  # how many observations share each order
     kind: str = field(default="szasz", init=False)
     _lower = 0.0
@@ -410,7 +422,7 @@ class BernsteinEstimator(_Fitted):
 
     sample: np.ndarray
     m: int
-    orders: np.ndarray  # the distinct c_i = ceil(m X_i), increasing
+    orders: np.ndarray  # the distinct c_i = least k with k / m >= X_i, increasing
     counts: np.ndarray  # how many observations share each order
     kind: str = field(default="bernstein", init=False)
     _lower = 0.0
@@ -460,17 +472,23 @@ class HermiteHalfEstimator(_Fitted):
     _lower = 0.0
 
     def _cdf(self, flat):
-        _, integrals = hermite_basis(np.minimum(flat / self.scale, _HERMITE_FLAT), self.order_max)
         # one dot product per contiguous row of integrals, so a point's value
         # does not depend on the other points; coef @ integrals is a ddot at
-        # one point and a gemv at several, which round differently
-        return np.vecdot(np.ascontiguousarray(integrals.T), self.coef)
+        # one point and a gemv at several, which round differently.  The
+        # values and integrals of every order and the integrals' copy are
+        # held at once per point
+        def block(t):
+            _, integrals = hermite_basis(np.minimum(t / self.scale, _HERMITE_FLAT), self.order_max)
+            return np.vecdot(np.ascontiguousarray(integrals.T), self.coef)
+
+        return _in_chunks(block, flat, 3 * (self.order_max + 1))
 
     @cached_property
     def _scan(self):
         # the range the quantile search scans first and the estimate on it,
         # evaluated once per fit and shared read-only by every level
-        grid = np.linspace(0.0, 2.0 * float(self.sample[-1]) + 10.0 * self.scale, 4097)
+        end = min(2.0 * float(self.sample[-1]) + 10.0 * self.scale, _X_END)
+        grid = np.linspace(0.0, end, 4097)
         values = self.evaluate(grid)
         grid.flags.writeable = values.flags.writeable = False
         return grid, values
@@ -478,22 +496,20 @@ class HermiteHalfEstimator(_Fitted):
     def quantile(self, p):
         # generalized inf over a possibly non-monotone curve: locate the
         # first upcrossing on a grid, doubling its range until one shows,
-        # then bisect inside that cell (six levels per call: see the module
-        # docstring)
+        # then run Brent's method inside that cell from its two grid values.
+        # Fhat(0) = 0 < p, so the cell has a grid point on each side
         p = _check_level(p)
         grid, values = self._scan
         above = np.nonzero(values >= p)[0]
         while not above.size:
-            hi = float(grid[-1])
-            if hi >= _X_MAX:
-                raise QuantileBracketError(
-                    f"estimate never reaches level {p} below x = {_X_MAX:g}")
-            grid = np.linspace(0.0, min(_X_MAX, 2.0 * hi), 4097)
-            above = np.nonzero(self.evaluate(grid) >= p)[0]
-        j = above[0]
-        if j == 0:
-            return 0.0
-        return _bisect_increasing(self.evaluate, p, grid[j - 1], grid[j], levels=6)
+            end = float(grid[-1])
+            if end >= _X_MAX:
+                raise QuantileBracketError(f"estimate never reaches level {p} below x = {end:g}")
+            grid = np.linspace(0.0, min(_X_MAX, 2.0 * end), 4097)
+            values = self.evaluate(grid)
+            above = np.nonzero(values >= p)[0]
+        lo, hi = float(grid[above[0] - 1]), float(grid[above[0]])
+        return self._brent(p, lo, hi, {lo: values[above[0] - 1], hi: values[above[0]]})
 
 
 def edf_fit(values):

@@ -409,7 +409,8 @@ def _ise_szasz(samples, param, u, w, x_nodes):
     # where their Poisson weights live (under 1e-30 is left out on each side)
     n, m = samples.shape[1], int(param)
     z = m * x_nodes
-    c_max = max(1, math.ceil(m * float(samples.max())))
+    orders = _szasz_orders(samples, m)
+    c_max = int(orders.max())
     tail = sp.gammainc(float(c_max + 1), z)
     left, right = _poisson_exponent_factors(c_max, z)
     node_blocks = [slice(j, j + _NODE_BLOCK) for j in range(0, z.size, _NODE_BLOCK)]
@@ -424,20 +425,22 @@ def _ise_szasz(samples, param, u, w, x_nodes):
         return band, np.exp(e, out=e)
 
     def fhat_rows(rows):
-        cum = _row_bincount(_szasz_orders(rows, m), c_max)
+        cum = _row_bincount(rows, c_max)
         np.cumsum(cum, axis=1, out=cum)
         fhat = np.empty((rows.shape[0], z.size))
         for i, cols in enumerate(node_blocks):
             band, pmf = kept.get(i) or band_weights(cols)
-            if rows.shape[0] < samples.shape[0]:
+            if rows.shape[0] < orders.shape[0]:
                 kept[i] = band, pmf
             fhat[:, cols] = cum[:, band] @ pmf
         return fhat / n + tail
 
-    # held at once per row: the orders, cell indices and integer and float
-    # counts; then the cumulative counts, Fhat, its scaled copy and its error
+    # the orders of every row are taken at once, a matrix the size of the
+    # samples, so that c_max is their largest; held at once per row of a
+    # chunk: the cell indices and integer and float counts; then the
+    # cumulative counts, Fhat, its scaled copy and its error
     width = max(2 * (n + c_max + 1), c_max + 1 + 3 * z.size)
-    return _ise_in_chunks(fhat_rows, samples, width, u, w)
+    return _ise_in_chunks(fhat_rows, orders, width, u, w)
 
 
 def _poisson_exponent_factors(c_max, z):

@@ -4,7 +4,6 @@ import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -33,7 +32,6 @@ from smoothcdf.estimators import (
     KINDS,
     HermiteHalfEstimator,
     SzaszEstimator,
-    _bisect_increasing,
     _Fitted,
     evaluate_rows,
 )
@@ -88,7 +86,7 @@ def test_sample_order_invariance():
 
 
 def _shapes(fit):
-    # c_i = max(1, ceil(m X_i)), one per observation
+    # c_i = max(1, the least k with k / m >= X_i), one per observation
     return np.repeat(fit.orders, fit.counts)
 
 
@@ -115,7 +113,8 @@ def test_szasz_fit_rejects_orders_beyond_exact_integers():
 
 class _PerObservationSzasz(SzaszEstimator):
     """The Szasz fit with one incomplete gamma and one Poisson weight per
-    observation, c_i = max(1, ceil(m X_i)) taken from the sample itself."""
+    observation, c_i = max(1, ceil(m X_i)) taken from the sample itself: the
+    fit's order wherever m X_i does not round across an integer."""
 
     def _shapes(self):
         return np.maximum(1.0, np.ceil(self.m * self.sample))[:, None]
@@ -196,18 +195,23 @@ def test_szasz_matches_truncated_series(exp2):
 @settings(max_examples=100, deadline=None)
 @given(values=st.lists(st.floats(0.0, 8.0, exclude_min=True), min_size=1, max_size=30),
        m=st.integers(1, 100), x=st.floats(0.0, 6.0))
+@example(values=[1.1], m=50, x=1.0)  # 50 * 1.1 = 55.00000000000001, 55 / 50 == 1.1
+@example(values=[0.33333333333333337], m=3, x=0.33333333333333337)  # 3 X = 1.0, 1 / 3 < X
 def test_szasz_finite_form_equals_the_series_form(values, m, x):
     # Fhat(x) = sum_k V_k(m x) F_n(k / m), the paper's operator, with the
     # Poisson weights V_k from poisson_log_pmf and the sum cut where the tail
     # is below 1e-30.  Observations are positive: the fit gives one at
     # exactly 0 the order 1, where F_n(0) would count it; m x <= 600 keeps
-    # the weights' |k log z| eps error under the bound
+    # the weights' |k log z| eps error under the bound.  The examples put an
+    # observation on a grid point k / m, or one ulp above it, where m X
+    # rounds to the other side of k
     fit = szasz_fit(values, m)
     z = m * x
     k = np.arange(math.ceil(z + 12.0 * math.sqrt(z) + 40.0) + 1, dtype=float)
     edf_at_grid = np.searchsorted(fit.sample, k / m, side="right") / fit.n
     series = float(np.sum(edf_at_grid * np.exp(poisson_log_pmf(k, z))))
     assert abs(fit.evaluate(x) - series) <= 1e-12
+    assert abs(evaluate_rows({"kind": "szasz", "m": m}, [values], x)[0] - series) <= 1e-12
 
 
 def test_szasz_expectation_identity(exp2):
@@ -280,6 +284,16 @@ def test_bernstein_matches_direct_series(beta33):
         c = np.ceil(m * s)[:, None]
         per_observation = np.where(c > 0, betainc(np.maximum(c, 1.0), m - c + 1.0, xs), 1.0)
         assert np.max(np.abs(fit.evaluate(xs) - per_observation.mean(axis=0))) <= 1e-13
+    # an observation on the grid point 7 / 25, or one ulp above 1 / 3, counts
+    # where F_n(k / m) first counts it, though m X rounds to the other side
+    # of k: 25 * 0.28 = 7.000000000000001 and 3 * 0.33333333333333337 = 1.0
+    for v, m, order in ((0.28, 25, 7), (0.33333333333333337, 3, 2)):
+        fit, k = bernstein_fit([v], m), np.arange(m + 1)
+        direct = np.sum((k / m >= v) * binom.pmf(k, m, xs[:, None]), axis=1)
+        assert fit.orders.tolist() == [order]
+        assert np.allclose(fit.evaluate(xs), direct, atol=1e-10)
+        rows = evaluate_rows({"kind": "bernstein", "m": m}, [[v]], xs[11])
+        assert np.allclose(rows, direct[11], atol=1e-10)
 
 
 def test_kernel_values():
@@ -367,8 +381,8 @@ def _bits(values):
        order_max=st.integers(0, 40), scale=st.floats(0.05, 20.0),
        xs=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=70))
 def test_hermite_value_at_a_point_does_not_depend_on_the_batch(rows, order_max, scale, xs):
-    # the quantile bisection evaluates 63 midpoints per call and must walk as
-    # one midpoint per call would; evaluate_rows must equal the fits
+    # the quantile search reads the scan's grid values in place of one-point
+    # values; evaluate_rows must equal the fits
     samples = np.sort(np.array(rows), axis=1)
     fits = [hermite_half_standardized_fit(row, order_max, None, scale) for row in samples]
     xs = np.array(xs)
@@ -379,41 +393,6 @@ def test_hermite_value_at_a_point_does_not_depend_on_the_batch(rows, order_max, 
         assert _bits(evaluate_rows(spec, samples, x)) == _bits([f.evaluate(x) for f in fits])
 
 
-_ELEMENTWISE = {
-    "cubic": lambda x: np.asarray(x) ** 3,
-    "tanh": np.tanh,
-    "staircase": lambda x: np.floor(7.0 * np.asarray(x)),
-    "sine": lambda x: np.sin(13.0 * np.asarray(x)),
-    "sawtooth": lambda x: np.mod(5.0 * np.asarray(x), 1.0),
-}
-
-
-@settings(max_examples=200, deadline=None)
-@given(name=st.sampled_from(sorted(_ELEMENTWISE)), lo=st.floats(-1e3, 1e3),
-       width=st.one_of(st.floats(0.0, 2e-10), st.floats(0.0, 1e4)), p=st.floats(-2.0, 2.0),
-       tol=st.sampled_from([1e-10, 1e-4, 0.0]))
-def test_bisection_levels_do_not_change_the_answer(name, lo, width, p, tol):
-    # monotone or not, the six-level walk halves as the one-level loop does;
-    # brackets within tol return at once, and tol = 0 runs to the 200-step cap
-    f, hi = _ELEMENTWISE[name], lo + width
-    want = _bisect_increasing(f, p, lo, hi, tol)
-    got = _bisect_increasing(f, p, lo, hi, tol, levels=6)
-    assert float(got).hex() == float(want).hex()
-
-
-def test_bisection_walks_six_levels_per_call():
-    # [0, 1] to within 1e-10 takes 34 halvings: 34 calls of one midpoint, or
-    # 6 calls of 63, the last walking 4 of its 6 levels
-    sizes = {}
-    for levels in (1, 6):
-        calls = []
-        _bisect_increasing(lambda x: calls.append(len(x)) or np.asarray(x), 0.3, 0.0, 1.0,
-                           levels=levels)
-        sizes[levels] = calls
-    assert sizes[1] == [1] * 34
-    assert sizes[6] == [63] * 6
-
-
 def test_hermite_scan_is_evaluated_once_outside_the_fields(monkeypatch, weibull1):
     fit = hermite_half_standardized_fit(sample(weibull1, 5, 400), 20, None, weibull1.sd)
     fresh, text, values = dataclasses.replace(fit), repr(fit), fit.sample.copy()
@@ -422,14 +401,17 @@ def test_hermite_scan_is_evaluated_once_outside_the_fields(monkeypatch, weibull1
     monkeypatch.setattr(HermiteHalfEstimator, "evaluate",
                         lambda self, x: sizes.append(np.size(x)) or evaluate(self, x))
     got = [fit.quantile(i / 20.0) for i in range(1, 20)]
-    # recorded from the search that bisected one midpoint per evaluate
-    assert got == [
+    # recorded from the search that bisected one midpoint per evaluate; Brent's
+    # method stops within its tolerance above the same crossing
+    want = [
         0.18613878478743617, 0.3376631687903263, 0.4780344693524523, 0.6191009945441094,
         0.7723898312735011, 0.9579321820826167, 1.2368123109502236, 1.7529658428102204,
         2.1247073106677017, 2.397503034967004, 2.6616542653648385, 2.9611333876351464,
         3.300665883621234, 3.6073836803295767, 3.8622795525486158, 4.094357402119588,
         4.333538149345504, 4.628269632933577, 5.409836881849468]
-    assert sizes.count(4097) == 1 and set(sizes) == {4097, 63}
+    for q, r in zip(got, want):
+        assert abs(q - r) <= 1e-10 + 4 * _EPS * abs(r)
+    assert sizes.count(4097) == 1 and set(sizes) == {4097, 1}
     assert fit == fresh and repr(fit) == text and np.array_equal(fit.sample, values)
     assert "_scan" not in {f.name for f in dataclasses.fields(fit)}
     for array in fit._scan:
@@ -445,7 +427,8 @@ def test_hermite_quantile_past_the_first_scan_range():
     assert np.max(fit._scan[1]) < 0.765
     for _ in range(2):  # the cached scan leaves both answers as they were
         # recorded from the search that bisected one midpoint per evaluate
-        assert fit.quantile(0.765) == 11.823700548135093
+        want = 11.823700548135093
+        assert abs(fit.quantile(0.765) - want) <= 1e-10 + 4 * _EPS * want
         with pytest.raises(QuantileBracketError, match="below x = 1e"):
             fit.quantile(0.9)
 
@@ -576,12 +559,17 @@ _EPS = np.finfo(float).eps
 
 
 def _quantile_and_evaluations(fit, p):
-    # fit.quantile(p), or "QuantileBracketError", and the one-point values
-    # evaluate returned during the search
+    # fit.quantile(p), or "QuantileBracketError", and the values evaluate
+    # returned during the search, at one point or on a Hermite scan's grid
     seen = {}
     evaluate = type(fit).evaluate
-    with mock.patch.object(type(fit), "evaluate",
-                           lambda self, x: seen.setdefault(float(x), evaluate(self, x))):
+
+    def record(self, x):
+        values = evaluate(self, x)
+        seen.update(zip(np.ravel(x).tolist(), np.ravel(values).tolist()))
+        return values
+
+    with mock.patch.object(type(fit), "evaluate", record):
         return _quantile_or_error(fit, p), seen
 
 
@@ -594,25 +582,42 @@ def _meets_the_quantile_contract(fit, p, q, seen):
 
 
 
+def _contract_spec(kind, m, h):
+    # the spec of kind with order m, bandwidth h, or N = m % 41 and, for the
+    # standardized Hermite fit, sigma = h
+    if kind == "kernel":
+        return {"kind": kind, "h": h}
+    if kind.startswith("hermite_half"):
+        sigma = {"standardize": True, "sigma": h} if kind.endswith("standardized") else {}
+        return {"kind": "hermite_half", "N": m % 41, **sigma}
+    return {"kind": kind, "m": m}
+
+
+# the largest data scale each kind takes: m X below 2**53, Bernstein in [0, 1]
+_SCALE_CAP = {"szasz": 1e6, "bernstein": 1.0}
+
+
 @settings(max_examples=150, deadline=None)
-@given(kind=st.sampled_from(["szasz", "kernel", "bernstein"]),
+@given(kind=st.sampled_from(["szasz", "kernel", "bernstein", "hermite_half",
+                             "hermite_half_standardized"]),
        unit=st.one_of(_EDGE_SAMPLES, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60)),
        m=st.integers(1, 500), h=st.floats(1e-3, 5.0),
        p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-       scale=st.sampled_from([1.0, 1e-300, 1e6]))
+       scale=st.sampled_from([1.0, 1e-300, 1e6, 1e300, 1e308]))
 @example(kind="szasz", unit=[0.0], m=1, h=1.0, p=0.5, scale=1.0)
 @example(kind="kernel", unit=[0.0], m=1, h=1.0, p=0.01, scale=1.0)
 def test_quantile_meets_its_tolerance_contract(kind, unit, m, h, p, scale):
-    # n = 1, ties, exact zeros and random samples at three scales (Bernstein
-    # data stay in [0, 1]); a level that is never reached raises, and only
-    # where the bracket's end is short of it.  At the two examples Brent's
-    # method evaluates a point whose value is exactly p
-    values = [v * (min(scale, 1.0) if kind == "bernstein" else scale) for v in unit]
-    fit = fit_from_spec({"kind": kind, "h": h} if kind == "kernel" else {"kind": kind, "m": m},
-                        values)
+    # n = 1, ties, exact zeros and random samples at five scales, the two
+    # largest for the kernel and Hermite fits only; a level that is never
+    # reached raises, and only where the bracket's end is short of it.  At
+    # the two examples Brent's method evaluates a point whose value is
+    # exactly p
+    values = [v * min(scale, _SCALE_CAP.get(kind, scale)) for v in unit]
+    fit = fit_from_spec(_contract_spec(kind, m, h), values)
     q, seen = _quantile_and_evaluations(fit, p)
     if q == "QuantileBracketError":
-        assert min(seen) == -1e6 and seen[-1e6] >= p or seen[max(seen)] < p
+        low, high = min(seen), max(seen)
+        assert low <= -1e6 and seen[low] >= p or high >= 1e6 and seen[high] < p
     else:
         assert _meets_the_quantile_contract(fit, p, q, seen)
 
@@ -787,8 +792,7 @@ def test_table_of_known_values_holds_only_bracket_points(weibull1):
 def test_a_quantile_search_that_does_not_converge_raises(monkeypatch, weibull1):
     # Brent's method cut to three iterations: the search raises rather than
     # return an answer outside its tolerance
-    monkeypatch.setattr(estimators.optimize, "brentq",
-                        partial(estimators.optimize.brentq, maxiter=3))
+    monkeypatch.setattr(estimators, "_BRENT_MAXITER", 3)
     with pytest.raises(RuntimeError, match="converge"):
         kernel_fit(sample(weibull1, 1, 50), 0.2).quantile(0.5)
 
@@ -940,12 +944,16 @@ def test_nan_evaluation_points_are_rejected_by_every_family():
 
 
 def test_kernel_evaluate_and_szasz_density_memory_is_bounded(weibull1):
-    # both used to hold n x points doubles at once: 40.1 MB (kernel) and
-    # 43.6 MB (Szasz density) at n = 5000 and 1000 points.  In chunks of
-    # points, as the Szasz evaluate is, each stays near 2 MB
+    # each used to hold n x points doubles at once: 40.1 MB (kernel) and
+    # 43.6 MB (Szasz density) at n = 5000 and 1000 points, and the Hermite
+    # evaluate (N + 1) x points three times over, 24.6 MB at N = 2000 and 512
+    # points.  In chunks of points, as the Szasz evaluate is, each stays near
+    # 2 MB; the Hermite fit is on a small sample, since its coefficients of
+    # one row are not chunked
     s = sample(weibull1, 1, 5000)
     x = np.linspace(0.01, 10.0, 1000)
-    for call in (kernel_fit(s, 0.1).evaluate, szasz_fit(s, 1000).density):
+    hermite = hermite_half_fit(s[:20], 2000)
+    for call in (kernel_fit(s, 0.1).evaluate, szasz_fit(s, 1000).density, hermite.evaluate):
         tracemalloc.start()
         try:
             call(x)

@@ -191,12 +191,23 @@ def test_szasz_sweep_memory_is_bounded_at_large_order(exp2):
     assert peak < 160e6, peak
     # a row depends only on (seed, i): the first rows match a three-row run
     # and the public fit.  Not bit for bit: c_max, where the sum stops and
-    # the tail takes over, is the largest ceil(m X_i) over all the rows
+    # the tail takes over, is the largest order over all the rows
     small = _ise_matrix(ExperimentConfig(exp2, "szasz", (20000,), n=20, M=3, master_seed=5))
     rows = samples_matrix(exp2, 5, 3, 20)
     for i in range(3):
         assert mat[i, 0] == pytest.approx(small[i, 0], rel=1e-10)
         assert mat[i, 0] == pytest.approx(ise(szasz_fit(rows[i], 20000), exp2), abs=1e-10)
+
+
+def test_szasz_sweep_counts_an_observation_above_its_rounded_order(exp2):
+    # the largest observation, one ulp above 1/3, has order 2 at m = 3, while
+    # ceil(3 X) = 1: counts sized by the rounded product would spill its count
+    # into the next row
+    rows = np.array([[0.1, 0.33333333333333337], [0.2, 0.3]])
+    u, w, x = _model_nodes(exp2, 64)
+    got = simulation._ise_szasz(rows, 3, u, w, x)
+    want = [ise(szasz_fit(row, 3), exp2, nodes=64) for row in rows]
+    assert got == pytest.approx(want, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,7 +2,8 @@
 
 Each number check converts its value to a Python number, rejects NaN and
 the infinities, and raises one ValueError that names the argument.  A
-value that does not convert at all is rejected the same way.  ``flag``
+value that does not convert at all, or is a string, "20" included, is
+rejected the same way.  ``flag``
 takes a bool and nothing else.  ``seed`` takes any integer and reduces it
 modulo 2**64, the one place a seed is reduced.
 
@@ -21,6 +22,9 @@ import numpy as np
 
 
 def _float(v):
+    # a number as a float; a string is no number, even one that spells one
+    if isinstance(v, (str, bytes)):
+        return math.nan
     try:
         return float(v)
     except (TypeError, ValueError, OverflowError):

@@ -35,7 +35,6 @@ import numpy as np
 import scipy
 
 from . import __version__
-from ._checks import integer
 from .asymptotics import c_opt, c_star, m_opt_mise, m_opt_mse, mise_constants, pointwise_coeffs
 from .estimators import KINDS, fit_from_spec
 from .models import distribution_from_spec
@@ -160,7 +159,7 @@ def _sweep_config(dist, **fields):
 def cmd_sweep(args):
     raw = _read_json(args.config)
     config = _sweep_config(**raw)
-    result = parameter_sweep(config, workers=integer("workers", args.workers))
+    result = parameter_sweep(config, workers=args.workers)
     lines = ["param,mise,se"]
     lines += [f"{_fmt(p)},{_fmt(v)},{_fmt(s)}"
               for p, v, s in zip(result.params, result.mise, result.se)]
@@ -187,7 +186,7 @@ def _normality_run(dist, estimator, x, n, M=10_000, master_seed=0, *, workers):
 
 def cmd_normality(args):
     raw = _read_json(args.config)
-    result, master_seed = _normality_run(**raw, workers=integer("workers", args.workers))
+    result, master_seed = _normality_run(**raw, workers=args.workers)
     summary = {
         "ks_distance": result.ks_distance,
         "reference_mean": result.reference_mean,

@@ -2,13 +2,12 @@
 
 Every fit function sorts and validates its sample once and returns an
 immutable fitted object; evaluation is vectorized over the query points.
-Each family's formula is written once, here.  The kernel, Bernstein and
-Hermite formulas are functions over a leading row axis of samples
-(``_kernel_rows``, ``_bernstein_rows`` over ``_bernstein_survival``,
+Each family's formula is written once, here.  The kernel and Hermite
+formulas are functions over a leading row axis of samples (``_kernel_rows``,
 ``_hermite_coefficients``): a fitted object is the one-row case, and the
 sweeps in ``simulation`` pass chunks of repetitions.  ``evaluate_rows``
 reads every row's estimate at one point through these formulas and
-``_szasz_rows`` without building a fitted object per row; it and
+``_grid_rows`` without building a fitted object per row; it and
 ``fit_from_spec`` share one spec parser over the shared spec reader,
 ``_checks.spec``.  Each kind takes exactly the keys it reads: edf none,
 szasz and bernstein ``m``, kernel ``h``, and hermite_half ``N``, with an
@@ -16,26 +15,29 @@ optional ``standardize`` and, only when that is true, ``sigma``.
 ``_KINDS`` holds, per kind, the fitted class (whose ``_lower`` and
 ``_upper`` are the family's domain), its required and optional spec keys
 and the check of its parameter, one of the shared checks of ``_checks``;
-the spec parser and ``simulation``'s sweep config read it.  The smooth
-half-line estimator is evaluated through its finite incomplete-gamma
-representation: with c_i = max(1, the least k with k / m >= X_i),
+the spec parser and ``simulation``'s sweep config read it.
 
-    Fhat(x) = (1/n) sum_i P(c_i, m x),
+The Szasz and Bernstein estimators are one grid operator
+(``_GridOperator``).  With c_i the grid order of X_i, the least k with
+k / m >= X_i (``_grid_orders``),
 
-where P is the regularized lower incomplete gamma function; the Szasz
-sweep uses the Poisson series form and is tested against this one.  The
-quotient k / m is taken as the EDF takes it, so c_i is the grid point
-where F_n(k / m) first counts X_i (``_grid_orders``), the Bernstein
-orders too; ceil(m X_i) can round to its other side.
-Observations sharing an order give equal terms, so the Szasz and
-Bernstein fits keep the distinct orders of their sample and their counts.
-The Szasz fit computes one incomplete gamma (and one Poisson weight for
-``density``) per distinct order and expands the rows back by the counts
-before the same mean over observations (``SzaszEstimator._per_observation``),
-so its values equal the per-observation form bit for bit; ``_szasz_rows``
-does the same per distinct order of a chunk of rows.  The Bernstein fit
-builds its survival table only for the occupied orders, at most
-min(n, m + 1) rows; the Bernstein sweep keeps the full table.
+    Fhat(x) = sum_k F_n(k / m) w_k(x) = (1/n) sum_i S(c_i, x),
+
+where S(c, x) is the chance that the count reaches c: P(Poisson(m x) >= c)
+= P(c, m x), the regularized lower incomplete gamma function, for Szasz,
+whose orders are raised to at least 1; P(Bin(m, x) >= c) = I_x(c, m - c + 1),
+the regularized incomplete beta function, for Bernstein, with S(0, x) = 1.
+``_OPERATORS`` maps each of the two kinds to its orders and its S.  The
+quotient k / m is taken as the EDF takes it, so c_i is the grid point where
+F_n(k / m) first counts X_i; ceil(m X_i) can round to its other side.
+Observations sharing an order give equal terms, so a fit keeps the distinct
+orders of its sample and their counts, computes S once per distinct order
+and expands the rows back by the counts before one sum over observations,
+divided by n (``_GridOperator._average``); its values equal the
+per-observation form bit for bit.  ``_grid_rows`` does the same per distinct
+order of a chunk of rows.  The sweeps keep faster forms, tested against the
+fits: the Szasz sweep the Poisson series, the Bernstein sweep counts times
+the full 0..m table.
 
 Quantiles are inf{x: Fhat(x) >= p}.  The EDF takes the k-th order
 statistic for the smallest k with k / n >= p.  Every smooth fit ends in one
@@ -46,7 +48,9 @@ evaluated with Fhat(q) >= p, a value equal to p counting as above p, so
 Brent's method never stops on it.  Then some evaluated point no more than
 1e-10 + 4 eps |q| below q has Fhat < p; a search that does not converge
 within ``_BRENT_MAXITER`` iterations raises.  Bracket ends stay within
-+-``_X_END``, half the largest float, so their distance is finite.
++-the largest float, and Brent's method runs in t = x / 2, whose bracket
+[lo / 2, hi / 2] is finitely wide for any two finite ends; doubling t back
+to x is exact.
 
 The Szasz, Bernstein and kernel fits are non-decreasing, so their quantile
 is the one root of Fhat(x) = p.  Their search widens the bracket until it
@@ -67,8 +71,8 @@ there, so the cell always has a grid point below the level.
 
 Work over many rows or points goes in chunks (``_in_chunks``) whose
 arrays held at once, temporaries included, have at most
-``_ELEMENT_BUDGET`` elements.  The Szasz, kernel and Hermite ``evaluate``
-and the Szasz ``density`` take their points so.  In the Szasz and kernel
+``_ELEMENT_BUDGET`` elements.  Every smooth ``evaluate`` and the Szasz
+``density`` take their points so.  In the Szasz, Bernstein and kernel
 forms a chunk of exactly one point averages over the observations in
 another order than a wider chunk does, so its value can differ in the last
 bit from the same point evaluated among others.
@@ -91,7 +95,7 @@ import numpy as np
 from scipy import optimize, special as sp
 
 from . import _checks
-from ._checks import flag, integer, positive
+from ._checks import finite, flag, integer, positive
 from .special import hermite_basis, hermite_values, poisson_log_pmf
 
 __all__ = [
@@ -116,11 +120,11 @@ _X_MAX = 1e6  # quantile bracketing gives up past this point
 _FLOAT_MAX = float(np.finfo(float).max)  # the largest finite float
 _ELEMENT_BUDGET = 250_000  # array elements one chunk of rows or points may allocate
 _XTOL = 1e-10  # the width Brent's method brings a quantile bracket down to
-_X_END = _FLOAT_MAX / 2  # quantile brackets and scans end within +-this
-# Brent's method's iteration cap.  A bracket within +-_X_END is under 2**1024
-# wide, and halving brings it to _XTOL > 2**-34 in at most 1024 + 34 = 1058
-# steps; the cap is about 2.8 times that, room for the interpolation steps
-# brentq takes between its halvings
+# Brent's method's iteration cap.  It runs in t = x / 2 over a bracket within
+# +-_FLOAT_MAX / 2, under 2**1024 wide, and halving brings that to
+# _XTOL / 2 > 2**-35 in at most 1024 + 35 = 1059 steps; the cap is about 2.8
+# times that, room for the interpolation steps brentq takes between its
+# halvings
 _BRENT_MAXITER = 3000
 # past this x / sigma, exp(-x^2/2) has underflowed to 0: every Hermite function
 # is 0 and every integral at its limit, so the estimate reads as it does here
@@ -131,8 +135,8 @@ class QuantileBracketError(RuntimeError):
     """The estimate does not cross the requested level within the search's bracket.
 
     The bracket widens to |x| <= 1e6, or stays at its first ends where the
-    data already put them farther out, within half the largest float;
-    answers beyond 1e6 are returned when the first bracket holds them.  The
+    data already put them farther out, within the largest float; answers
+    beyond 1e6 are returned when the first bracket holds them.  The
     message names the bracket end reached.
     """
 
@@ -185,16 +189,6 @@ def _in_chunks(fn, items, width):
     return np.concatenate([fn(items[i:i + step]) for i in range(0, len(items) or 1, step)])
 
 
-def _row_bincount(idx, width_max):
-    # counts of 0..width_max in each row of a non-negative integer matrix
-    n_rows = idx.shape[0]
-    width = width_max + 1
-    offsets = (np.arange(n_rows, dtype=np.int64) * width)[:, None]
-    flat = (idx + offsets).ravel()
-    counts = np.bincount(flat, minlength=n_rows * width)
-    return counts.reshape(n_rows, width).astype(float)
-
-
 def _grid_orders(samples, m):
     # the least k with k / m >= X_i, the quotient taken as the EDF takes it:
     # the grid point k / m where F_n first counts X_i, and the EDF quantile's
@@ -222,17 +216,6 @@ def _szasz_orders(samples, m):
     return np.maximum(1, _grid_orders(samples, m))
 
 
-def _szasz_rows(samples, m, x):
-    # Fhat(x) per sample row in the fit's incomplete-gamma form: one P(c, m x)
-    # per distinct order c of the rows, gathered back per observation and
-    # averaged over observations as SzaszEstimator._per_observation does;
-    # holds about 6 elements per observation and point at once
-    orders = _szasz_orders(samples, m)
-    distinct, index = np.unique(orders, return_inverse=True)
-    table = sp.gammainc(distinct.astype(float)[:, None], m * x[None, :])
-    return table[index.reshape(orders.shape)].mean(axis=1)
-
-
 def _kernel_rows(samples, h, x):
     # Fhat(x) per sample row: mean_i ndtr((x - X_i) / h), the ndtr taken in
     # place, so one element per observation and point
@@ -240,27 +223,40 @@ def _kernel_rows(samples, h, x):
     return sp.ndtr(t, out=t).mean(axis=1)
 
 
+def _szasz_survival(orders, m, x):
+    # P(Poisson(m x) >= c) = P(c, m x), one row per c in orders, each c >= 1
+    return sp.gammainc(orders.astype(float)[:, None], m * x[None, :])
+
+
 def _bernstein_orders(samples, m):
     return _grid_orders(samples, m).clip(0, m)
 
 
-def _bernstein_survival(m, x, orders=None):
-    # P(Bin(m, x) >= c) = I_x(c, m - c + 1), one row per c in orders (default
-    # 0..m), a c = 0 row equal to 1
-    c = np.arange(m + 1) if orders is None else np.asarray(orders)
-    table = np.ones((c.size, x.size))
-    pos = c > 0
-    shapes = c[pos].astype(float)[:, None]
+def _bernstein_survival(orders, m, x):
+    # P(Bin(m, x) >= c) = I_x(c, m - c + 1), one row per c in orders, a c = 0
+    # row equal to 1
+    table = np.ones((orders.size, x.size))
+    pos = orders > 0
+    shapes = orders[pos].astype(float)[:, None]
     table[pos] = sp.betainc(shapes, m - shapes + 1.0, x[None, :])
     return table
 
 
-def _bernstein_rows(samples, m, survival):
-    # Fhat per sample row: sum_k F_n(k/m) b_{k,m}(x) = (1/n) sum_c #{c_i = c} S[c]
-    # with c_i the grid order of X_i (_grid_orders) and S =
-    # _bernstein_survival(m, x); holds at most 2 (n + m + 1) elements per row
-    # at once, and the result
-    return _row_bincount(_bernstein_orders(samples, m), m) @ survival / samples.shape[1]
+# grid-operator kind: (the orders c_i of sample rows, the survival S(orders, m, x))
+_OPERATORS = {"szasz": (_szasz_orders, _szasz_survival),
+              "bernstein": (_bernstein_orders, _bernstein_survival)}
+
+
+def _grid_rows(kind, samples, m, x):
+    # Fhat(x) per sample row of a grid operator: S once per distinct order of
+    # the rows, gathered back per observation and averaged in the fit's order
+    # (_GridOperator._average); holds about 6 elements per observation and
+    # point at once
+    orders_of, survival = _OPERATORS[kind]
+    orders = orders_of(samples, m)
+    distinct, index = np.unique(orders, return_inverse=True)
+    table = survival(distinct, m, x)
+    return table[index.reshape(orders.shape)].sum(axis=1) / samples.shape[1]
 
 
 @np.errstate(over="ignore")  # at the largest observations, as at the largest points
@@ -313,12 +309,12 @@ class _Fitted:
         # inf{x: Fhat(x) >= p} for a non-decreasing fit: double the width of
         # [lo, hi] until Fhat(lo) < p <= Fhat(hi), within the domain and
         # +-_X_MAX, then run Brent's method over it.  Fhat(lo) >= p at the
-        # domain's lower edge makes the edge itself the answer.  Ends within
-        # +-_X_END keep hi - lo finite; every family's starting bracket has
-        # lo <= hi / 2 unless hi was cut to _X_END, so the cut cannot close it
+        # domain's lower edge makes the edge itself the answer.  The ends are
+        # clamped to +-_FLOAT_MAX; every family's starting bracket has
+        # lo <= hi / 2 unless hi was clamped, so the clamp cannot close it
         p = _check_level(p)
-        hi = min(hi, _X_END)
-        lo = max(min(lo, 0.5 * hi), -_X_END)
+        hi = min(hi, _FLOAT_MAX)
+        lo = max(min(lo, 0.5 * hi), -_FLOAT_MAX)
         floor, ceiling = max(self._lower, -_X_MAX), min(self._upper, _X_MAX)
         known = self._known
 
@@ -343,20 +339,22 @@ class _Fitted:
     def _brent(self, p, lo, hi, known):
         # the least point evaluated with Fhat >= p by Brent's method over
         # [lo, hi], where Fhat(lo) < p <= Fhat(hi); known maps points to
-        # their values, read in place of evaluating them
+        # their values, read in place of evaluating them.  The method runs
+        # in t = x / 2, so that the bracket's width is finite
         upper = hi
 
-        def excess(x):
-            # Fhat(x) - p, the least positive float where Fhat(x) = p, so
-            # that Brent's method does not stop there
+        def excess(t):
+            # Fhat(x) - p at x = 2 t, the least positive float where
+            # Fhat(x) = p, so that Brent's method does not stop there
             nonlocal upper
+            x = 2.0 * t
             v = known[x] if x in known else self.evaluate(x)
             if v < p:
                 return v - p
             upper = min(upper, x)
             return max(v - p, math.ulp(0.0))
 
-        optimize.brentq(excess, lo, hi, xtol=_XTOL, maxiter=_BRENT_MAXITER)
+        optimize.brentq(excess, lo / 2.0, hi / 2.0, xtol=_XTOL / 2.0, maxiter=_BRENT_MAXITER)
         return upper
 
 
@@ -378,26 +376,33 @@ class EmpiricalCDF(_Fitted):
 
 
 @dataclass(frozen=True)
-class SzaszEstimator(_Fitted):
-    """Poisson-smoothed CDF estimator on [0, inf)."""
+class _GridOperator(_Fitted):
+    """A Szasz or Bernstein fit: Fhat(x) = (1/n) sum_i S(c_i, x) over the
+    grid orders c_i of the sample, S its kind's survival in ``_OPERATORS``."""
 
     sample: np.ndarray
     m: int
-    orders: np.ndarray  # the distinct c_i = max(1, least k with k / m >= X_i), increasing
+    orders: np.ndarray  # the distinct c_i of the sample, increasing
     counts: np.ndarray  # how many observations share each order
-    kind: str = field(default="szasz", init=False)
     _lower = 0.0
 
-    def _per_observation(self, table):
+    def _average(self, table):
         # one row per observation from one row per distinct order, then the
-        # mean over observations; a counts-weighted sum would round differently
-        return np.repeat(table, self.counts, axis=0).mean(axis=0)
+        # sum over observations divided by n, which is numpy's mean bit for
+        # bit; a counts-weighted sum would round differently
+        return np.repeat(table, self.counts, axis=0).sum(axis=0) / self.n
 
     def _cdf(self, flat):
-        shapes = self.orders.astype(float)[:, None]
-        return _in_chunks(
-            lambda t: self._per_observation(sp.gammainc(shapes, self.m * t[None, :])),
-            flat, self.n + self.orders.size)
+        survival = _OPERATORS[self.kind][1]
+        return _in_chunks(lambda t: self._average(survival(self.orders, self.m, t)),
+                          flat, self.n + self.orders.size)
+
+
+@dataclass(frozen=True)
+class SzaszEstimator(_GridOperator):
+    """Poisson-smoothed CDF estimator on [0, inf)."""
+
+    kind: str = field(default="szasz", init=False)
 
     def density(self, x):
         """Derivative of the fitted CDF, a Poisson-weight mixture density.
@@ -408,7 +413,7 @@ class SzaszEstimator(_Fitted):
         """
         k = (self.orders - 1).astype(float)[:, None]
         return self._pointwise(lambda flat: _in_chunks(
-            lambda t: np.where(np.isinf(self.m * t), 0.0, self.m * self._per_observation(
+            lambda t: np.where(np.isinf(self.m * t), 0.0, self.m * self._average(
                 np.exp(poisson_log_pmf(k, self.m * t[None, :])))),
             flat, self.n + 2 * self.orders.size), x)
 
@@ -417,22 +422,11 @@ class SzaszEstimator(_Fitted):
 
 
 @dataclass(frozen=True)
-class BernsteinEstimator(_Fitted):
-    """Polynomial CDF estimator on [0, 1] with binomial weights."""
+class BernsteinEstimator(_GridOperator):
+    """Polynomial CDF estimator on [0, 1]: the grid operator with binomial counts."""
 
-    sample: np.ndarray
-    m: int
-    orders: np.ndarray  # the distinct c_i = least k with k / m >= X_i, increasing
-    counts: np.ndarray  # how many observations share each order
     kind: str = field(default="bernstein", init=False)
-    _lower = 0.0
     _upper = 1.0
-
-    def _cdf(self, flat):
-        # _bernstein_rows on the occupied rows of the survival table only
-        return _in_chunks(
-            lambda t: self.counts @ _bernstein_survival(self.m, t, self.orders) / self.n,
-            flat, 2 * self.orders.size)
 
     def quantile(self, p):
         return self._search(p, 0.0, 1.0)
@@ -487,7 +481,7 @@ class HermiteHalfEstimator(_Fitted):
     def _scan(self):
         # the range the quantile search scans first and the estimate on it,
         # evaluated once per fit and shared read-only by every level
-        end = min(2.0 * float(self.sample[-1]) + 10.0 * self.scale, _X_END)
+        end = min(2.0 * float(self.sample[-1]) + 10.0 * self.scale, _FLOAT_MAX)
         grid = np.linspace(0.0, end, 4097)
         values = self.evaluate(grid)
         grid.flags.writeable = values.flags.writeable = False
@@ -525,16 +519,20 @@ def szasz_fit(values, m):
     has probability zero.  m times the largest observation must stay below
     2**53, so that every c_i is an exact integer.
     """
-    m = integer("order m", m)
-    x = _as_sample(values)
-    return SzaszEstimator(x, m, *np.unique(_szasz_orders(x, m), return_counts=True))
+    return _grid_fit(SzaszEstimator, values, m)
 
 
 def bernstein_fit(values, m):
     """Fit the Bernstein polynomial estimator on data in [0, 1]."""
+    return _grid_fit(BernsteinEstimator, values, m)
+
+
+def _grid_fit(cls, values, m):
+    # a grid-operator fit: the sample on cls's domain, its distinct orders
+    # and their counts
     m = integer("order m", m)
-    x = _as_sample(values, upper=1.0)
-    return BernsteinEstimator(x, m, *np.unique(_bernstein_orders(x, m), return_counts=True))
+    x = _as_sample(values, cls._lower, cls._upper)
+    return cls(x, m, *np.unique(_OPERATORS[cls.kind][0](x, m), return_counts=True))
 
 
 def kernel_fit(values, h):
@@ -602,10 +600,8 @@ def evaluate_rows(spec, samples, x, dist=None):
     Equals ``fit_from_spec(spec, row, dist).evaluate(x)`` for every row, and
     builds no fitted object: the rows go in chunks through the family's
     row-axis formula.  The formulas are symmetric in the observations; rows
-    sorted as ``simulation.samples_matrix`` draws them give the fits'
-    values bit for bit for edf, szasz, kernel and hermite_half.  Bernstein
-    sums its counts over every order 0..m where the fit sums over the
-    occupied ones, which can round differently in the last bit.
+    sorted as ``simulation.samples_matrix`` draws them give the fits' values
+    bit for bit for all five kinds.
     """
     kind, args = _parse_spec(spec, dist)
     cls = _KINDS[kind][0]
@@ -625,12 +621,8 @@ def evaluate_rows(spec, samples, x, dist=None):
         return np.vecdot(coefs, integrals[:, 0])
     if kind == "edf":
         rows, width = (lambda chunk: (chunk <= point).sum(axis=1) / n), n
-    elif kind == "szasz":
-        rows, width = (lambda chunk: _szasz_rows(chunk, args[0], point)[:, 0]), 6 * n
-    elif kind == "bernstein":
-        m = args[0]
-        survival = _bernstein_survival(m, point)
-        rows, width = (lambda chunk: _bernstein_rows(chunk, m, survival)[:, 0]), 2 * (n + m + 1)
+    elif kind in _OPERATORS:
+        rows, width = (lambda chunk: _grid_rows(kind, chunk, args[0], point)[:, 0]), 6 * n
     else:
         rows, width = (lambda chunk: _kernel_rows(chunk, args[0], point)[:, 0]), n + 1
     return _in_chunks(rows, samples, width)
@@ -639,7 +631,7 @@ def evaluate_rows(spec, samples, x, dist=None):
 # kind: (fitted class, its spec keys (required, optional), the check of its
 # parameter, which is its required key)
 _KINDS = {
-    "edf": (EmpiricalCDF, ((), ()), float),
+    "edf": (EmpiricalCDF, ((), ()), partial(finite, "edf parameter")),
     "szasz": (SzaszEstimator, (("m",), ()), partial(integer, "order m")),
     "bernstein": (BernsteinEstimator, (("m",), ()), partial(integer, "order m")),
     "kernel": (KernelCDF, (("h",), ()), partial(positive, "bandwidth")),

@@ -29,16 +29,17 @@ caller can change the samples another caller sees.
 Every family but the EDF is one column per grid value: ``_ise_matrix``
 builds once what the columns share (Hermite's coefficients and basis
 integrals), fans the columns out over ``workers`` threads, and each column
-takes its repetitions in bounded chunks.  Kernel, Bernstein and Hermite
-columns apply the row-axis formulas of ``estimators``; the Szasz column is
-this module's Poisson series form over blocks of 64 quadrature nodes,
-each banded by theory.truncation_floor and theory.truncation_index, the
-exponent k log z - z - log k! of its Poisson weights one rank-3 product
-[k, 1, -log k!] @ [log z; -z; 1], and tested against the fitted
-incomplete-gamma form.  The normality experiment
-reads Fhat(x) of every repetition through ``estimators.evaluate_rows``, the
-same row-axis formulas over chunks of repetitions, with no fitted object
-per row.
+takes its repetitions in bounded chunks.  Kernel and Hermite columns apply
+the row-axis formulas of ``estimators``.  The Szasz and Bernstein columns
+keep faster forms of the fits' grid operator, each tested against the
+fits: the Bernstein column is counts x table, the per-row counts of every
+order 0..m times the binomial survival table of ``estimators``; the Szasz
+column is this module's Poisson series form over blocks of 64 quadrature
+nodes, each banded by theory.truncation_floor and theory.truncation_index,
+the exponent k log z - z - log k! of its Poisson weights one rank-3 product
+[k, 1, -log k!] @ [log z; -z; 1].  The normality experiment reads Fhat(x)
+of every repetition through ``estimators.evaluate_rows``, the row-axis
+formulas over chunks of repetitions, with no fitted object per row.
 """
 
 from __future__ import annotations
@@ -54,9 +55,8 @@ from scipy import special as sp
 from . import _checks, estimators, models
 from ._checks import finite, flag, integer, positive
 from .estimators import (
-    _KINDS, KINDS, EmpiricalCDF, _bernstein_rows, _bernstein_survival, _check_sample,
-    _hermite_coefficients, _in_chunks, _kernel_rows, _row_bincount, _szasz_orders,
-    evaluate_rows,
+    _KINDS, KINDS, EmpiricalCDF, _bernstein_orders, _bernstein_survival, _check_sample,
+    _hermite_coefficients, _in_chunks, _kernel_rows, _szasz_orders, evaluate_rows,
 )
 # not called here: benchmarks/tracing.py times per-row fits by wrapping
 # simulation.fit_from_spec, so the name stays importable from this module
@@ -109,13 +109,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.estimator_family not in KINDS:
             raise ValueError(f"unknown estimator family: {self.estimator_family!r}")
-        grid = tuple(float(p) for p in self.param_grid)
+        # each value through the fit's own check of its parameter
+        check = _KINDS[self.estimator_family][2]
+        grid = tuple(float(check(p)) for p in self.param_grid)
         if not grid:
             raise ValueError("param_grid must not be empty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("param_grid must be strictly increasing")
-        for p in grid:  # the fit's own check of its parameter
-            _KINDS[self.estimator_family][2](p)
         object.__setattr__(self, "param_grid", grid)
         for name, lo in (("n", 1), ("M", 1), ("master_seed", 0)):
             object.__setattr__(self, name, integer(name, getattr(self, name), lo))
@@ -214,6 +214,7 @@ def samples_matrix(dist, master_seed, n_reps, n, workers=1):
     asks for more rows, or for other inputs, draws afresh and replaces it.
     """
     global _last_draw
+    workers = integer("workers", workers)
     n_reps, n = integer("n_reps", n_reps), integer("n", n)
     seed = _checks.seed("master_seed", master_seed)
     # one read of the shared entry: a concurrent caller can replace it, so
@@ -246,7 +247,7 @@ def _draw_chunk_rows(dist, n, workers):
     # most a quarter of _ELEMENT_BUDGET elements together (one row when a
     # single row's draw needs more)
     budget = estimators._ELEMENT_BUDGET
-    return max(1, budget // (4 * max(1, int(workers)) * dist.invert_width * n))
+    return max(1, budget // (4 * workers * dist.invert_width * n))
 
 
 def _node_count(name, v):
@@ -333,7 +334,7 @@ def normality_experiment(dist, estimator_spec, x, n, M, master_seed, workers=1):
     n, M = integer("n", n), integer("M", M)
     master_seed = integer("master_seed", master_seed, lo=0)
     estimators._parse_spec(estimator_spec, dist)  # a bad spec fails before the draw
-    x = float(x)
+    x = finite("x", x)
     fx = float(dist.cdf(x))
     if not 0.0 < fx < 1.0:
         raise ValueError("normality experiment needs 0 < F(x) < 1")
@@ -402,6 +403,16 @@ def _ise_in_chunks(fhat_rows, samples, width, u, w):
     return _in_chunks(lambda rows: ((fhat_rows(rows) - u) ** 2 * w).sum(axis=1), samples, width)
 
 
+def _row_bincount(idx, width_max):
+    # counts of 0..width_max in each row of a non-negative integer matrix
+    n_rows = idx.shape[0]
+    width = width_max + 1
+    offsets = (np.arange(n_rows, dtype=np.int64) * width)[:, None]
+    flat = (idx + offsets).ravel()
+    counts = np.bincount(flat, minlength=n_rows * width)
+    return counts.reshape(n_rows, width).astype(float)
+
+
 def _ise_szasz(samples, param, u, w, x_nodes):
     # series form over the row-wise cumulative counts C[r, k] = #{c_i <= k}:
     # n Fhat(x_j) = sum_k P(Poisson(z_j) = k) C[r, k] + n P(Poisson(z_j) > c_max)
@@ -454,12 +465,16 @@ def _poisson_exponent_factors(c_max, z):
 
 
 def _ise_bernstein(samples, param, u, w, x_nodes):
-    m = int(param)
-    survival = _bernstein_survival(m, x_nodes)
+    # the fit's sum over observations as counts x table: n Fhat(x_j) =
+    # sum_c #{c_i = c} S(c, x_j) over every order c = 0..m, S the survival
+    # P(Bin(m, x_j) >= c)
+    n, m = samples.shape[1], int(param)
+    survival = _bernstein_survival(np.arange(m + 1), m, x_nodes)
     # held at once per row: the orders, cell indices and integer and float
     # counts; then the float counts, Fhat and its error
-    width = max(2 * (samples.shape[1] + m + 1), m + 1 + 2 * x_nodes.size)
-    return _ise_in_chunks(lambda rows: _bernstein_rows(rows, m, survival), samples, width, u, w)
+    width = max(2 * (n + m + 1), m + 1 + 2 * x_nodes.size)
+    return _ise_in_chunks(lambda rows: _row_bincount(_bernstein_orders(rows, m), m) @ survival / n,
+                          samples, width, u, w)
 
 
 def _ise_kernel(samples, param, u, w, x_nodes):

@@ -25,7 +25,9 @@ from smoothcdf import (
     weighted_L_integral,
 )
 from smoothcdf._checks import finite, integer, nonnegative, positive, seed
-from smoothcdf.simulation import ExperimentConfig, repetition_seed, samples_matrix
+from smoothcdf.simulation import (
+    ExperimentConfig, mise_monte_carlo, parameter_sweep, repetition_seed, samples_matrix,
+)
 
 
 def test_integer_takes_integral_values_of_any_number_type():
@@ -39,7 +41,7 @@ def test_integer_takes_integral_values_of_any_number_type():
         assert integer("master_seed", value, lo=0) == int(value)
 
 
-@pytest.mark.parametrize("value", [2.5, math.nan, math.inf, -math.inf, 0, -1, None, "x"])
+@pytest.mark.parametrize("value", [2.5, math.nan, math.inf, -math.inf, 0, -1, None, "x", "20"])
 def test_integer_rejects_fractions_non_finite_values_and_values_below_lo(value):
     with pytest.raises(ValueError, match="^n must be a positive integer$"):
         integer("n", value)
@@ -53,21 +55,21 @@ def test_seed_takes_any_integer_modulo_2_64():
     for value, want in ((3, 3), (3.0, 3), (3 + 2**64, 3), (-1, 2**64 - 1),
                         (np.uint64(2**64 - 1), 2**64 - 1), (-2**70 + 5, 5)):
         assert seed("seed", value) == want
-    for value in (1.7, math.nan, math.inf, None, "x"):
+    for value in (1.7, math.nan, math.inf, None, "x", "7", b"7"):
         with pytest.raises(ValueError, match="^seed must be an integer$"):
             seed("seed", value)
 
 
 def test_positive_and_nonnegative_reject_nan_and_infinities():
     assert positive("h", np.float64(0.5)) == 0.5 and nonnegative("a", 0) == 0.0
-    for value in (0.0, -1.0, math.nan, math.inf, -math.inf, None):
+    for value in (0.0, -1.0, math.nan, math.inf, -math.inf, None, "20"):
         with pytest.raises(ValueError, match="^h must be positive and finite$"):
             positive("h", value)
-    for value in (-1.0, math.nan, math.inf, -math.inf, None):
+    for value in (-1.0, math.nan, math.inf, -math.inf, None, "20"):
         with pytest.raises(ValueError, match="^a must be >= 0 and finite$"):
             nonnegative("a", value)
     assert finite("mean", np.float64(-2.5)) == -2.5
-    for value in (math.nan, math.inf, -math.inf, None, "x"):
+    for value in (math.nan, math.inf, -math.inf, None, "x", "0.4"):
         with pytest.raises(ValueError, match="^mean must be finite$"):
             finite("mean", value)
 
@@ -127,6 +129,19 @@ _NAN, _INF = math.nan, math.inf
     ("sd", lambda d: ks_distance_normal([0.1, 0.2], 0.0, -1.0)),
     ("sd", lambda d: ks_distance_normal([0.1, 0.2], 0.0, 0.0)),
     ("sd", lambda d: ks_distance_normal([0.1, 0.2], 0.0, _NAN)),
+    ("workers", lambda d: parameter_sweep(ExperimentConfig(d, "szasz", (2, 3), n=10, M=5),
+                                          workers=2.5)),
+    ("workers", lambda d: parameter_sweep(ExperimentConfig(d, "szasz", (2, 3), n=10, M=5),
+                                          workers=0)),
+    ("workers", lambda d: mise_monte_carlo(ExperimentConfig(d, "kernel", (0.1,), n=10, M=5),
+                                           0.1, workers=_NAN)),
+    ("workers", lambda d: parameter_sweep(ExperimentConfig(d, "edf", (0,), n=10, M=5),
+                                          workers="2")),
+    ("workers", lambda d: normality_experiment(d, {"kind": "edf"}, 0.4, 20, 20, 0, workers=-3)),
+    ("workers", lambda d: samples_matrix(d, 0, 3, 5, workers=2.5)),
+    ("x", lambda d: normality_experiment(d, {"kind": "edf"}, "0.4", 20, 20, 0)),
+    ("n", lambda d: ExperimentConfig(d, "szasz", (2, 3), n="20", M=5)),
+    ("edf parameter", lambda d: ExperimentConfig(d, "edf", (0, _NAN), n=10, M=5)),
 ])
 def test_invalid_arguments_raise_one_error_naming_them(exp2, name, call):
     # each of these used to run, return NaN, or fail with an error that named
@@ -136,6 +151,8 @@ def test_invalid_arguments_raise_one_error_naming_them(exp2, name, call):
     # drew seed 1, repetition_seed(1.7, 2.5) was repetition_seed(1, 2), and
     # nodes=2.5 integrated with 2 nodes; quadrature_nodes=100000 would have
     # asked leggauss for an 80 GB matrix, and ks_distance_normal returned 0.579
-    # at sd=-1, 1.0 at sd=0 and NaN at a NaN
+    # at sd=-1, 1.0 at sd=0 and NaN at a NaN; workers=2.5 ran on 2 threads,
+    # workers=0 and -3 serially and workers="2" raised a TypeError; x="0.4"
+    # and n="20" ran as numbers, and an edf grid took NaN
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
         call(exp2)

@@ -248,13 +248,20 @@ _NORMALITY = {"dist": {"kind": "beta", "alpha": 3, "beta": 3},
     ["sweep", "--config", {**_SWEEP, "estimator_family": "szasz"}, "--workers", "0"],
     ["sweep", "--config", {**_SWEEP, "estimator_family": "szasz"}, "--workers", "-4"],
     ["normality", "--config", _NORMALITY, "--workers", "0"],
+    ["sweep", "--config", {**_SWEEP, "estimator_family": "szasz", "n": "20"}],
+    ["sweep", "--config", {**_SWEEP, "estimator_family": "szasz", "master_seed": "7"}],
+    ["sweep", "--config", {**_SWEEP, "estimator_family": "szasz", "param_grid": "49"}],
+    ["normality", "--config", {**_NORMALITY, "x": "0.4"}],
 ], ids=["n=0", "a<0", "a=0", "no rate", "bernstein on the half line", "x=nan", "x=inf",
         "a=nan", "rate=nan", "sweep n=2.5", "normality n=30.7", "normality clip",
         "sweep seed=1.7", "sweep seed=-1", "normality seed=1.7", "sweep workers=0",
-        "sweep workers=-4", "normality workers=0"])
+        "sweep workers=-4", "normality workers=0", "sweep n string", "sweep seed string",
+        "sweep param_grid string", "normality x string"])
 def test_invalid_input_exits_2_with_one_message(tmp_path, capsys, argv):
     # each of these ended in a traceback with exit code 1, or ran: NaN x and a
-    # were written out, and n = 2.5 or 30.7 ran at n = 2 or 30
+    # were written out, n = 2.5 or 30.7 ran at n = 2 or 30, the numbers
+    # written as strings ran as numbers, and "param_grid": "49" swept the
+    # grid (4, 9)
     cfg = tmp_path / "cfg.json"
     for arg in argv:
         if isinstance(arg, dict):

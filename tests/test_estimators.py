@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import gammainc, ndtr, ndtri
+from scipy.special import betainc, gammainc, ndtr, ndtri
 
 from smoothcdf import (
     QuantileBracketError,
@@ -30,6 +30,7 @@ from smoothcdf import simulation
 from smoothcdf.cli import main
 from smoothcdf.estimators import (
     KINDS,
+    BernsteinEstimator,
     HermiteHalfEstimator,
     SzaszEstimator,
     _Fitted,
@@ -153,6 +154,36 @@ def test_szasz_fit_equals_the_per_observation_form_bitwise(exp2):
             assert fit.quantile(p) == ref.quantile(p)
     assert fit.orders.size == fit.n  # the last case: every order distinct
     assert szasz_fit([0.8] * 6, 7).orders.size == 1
+
+
+class _PerObservationBernstein(BernsteinEstimator):
+    """The Bernstein fit with one incomplete beta I_x(c_i, m - c_i + 1) per
+    observation, c_i = 0 giving 1, then numpy's mean over observations."""
+
+    def _cdf(self, flat):
+        c = np.repeat(self.orders, self.counts).astype(float)[:, None]
+        table = betainc(np.maximum(c, 1.0), self.m - c + 1.0, flat[None, :])
+        return np.where(c > 0, table, 1.0).mean(axis=0)
+
+
+def test_bernstein_fit_equals_the_per_observation_form_bitwise(beta33):
+    # one incomplete beta per distinct order, expanded back by the counts,
+    # gives the per-observation values bit for bit: m < n, m > n and m >> n
+    # on Beta(3,3) data, and ties with a c = 0 observation
+    cases = [
+        (sample(beta33, 3, 500), 40),
+        (sample(beta33, 4, 200), 300),
+        (sample(beta33, 5, 50), 3000),
+        ([0.0, 0.0, 0.3, 0.3, 0.3, 0.7, 1.0], 10),
+    ]
+    xs = np.linspace(0.0, 1.0, 57)
+    for values, m in cases:
+        fit = bernstein_fit(values, m)
+        ref = _PerObservationBernstein(fit.sample, fit.m, fit.orders, fit.counts)
+        assert np.array_equal(fit.evaluate(xs), ref.evaluate(xs))
+        assert fit.evaluate(0.4) == ref.evaluate(0.4)
+        for p in (0.05, 0.3, 0.5, 0.9):
+            assert fit.quantile(p) == ref.quantile(p)
 
 
 def test_szasz_boundary_and_closed_form():
@@ -606,18 +637,23 @@ _SCALE_CAP = {"szasz": 1e6, "bernstein": 1.0}
        scale=st.sampled_from([1.0, 1e-300, 1e6, 1e300, 1e308]))
 @example(kind="szasz", unit=[0.0], m=1, h=1.0, p=0.5, scale=1.0)
 @example(kind="kernel", unit=[0.0], m=1, h=1.0, p=0.01, scale=1.0)
+@example(kind="kernel", unit=[1.0], m=1, h=1.0, p=0.5, scale=1e308)
+@example(kind="kernel", unit=[-1.7, 1.7], m=1, h=1.0, p=0.5, scale=1e308)
+@example(kind="kernel", unit=[-1.7, 1.7], m=1, h=1.0, p=0.75, scale=1e308)
 def test_quantile_meets_its_tolerance_contract(kind, unit, m, h, p, scale):
     # n = 1, ties, exact zeros and random samples at five scales, the two
     # largest for the kernel and Hermite fits only; a level that is never
-    # reached raises, and only where the bracket's end is short of it.  At
-    # the two examples Brent's method evaluates a point whose value is
-    # exactly p
+    # reached raises, and only where the bracket's end is short of it and
+    # past every observation.  At the first two examples Brent's method
+    # evaluates a point whose value is exactly p; the last three cross
+    # beyond half the largest float, where a bracket cut there stopped
     values = [v * min(scale, _SCALE_CAP.get(kind, scale)) for v in unit]
     fit = fit_from_spec(_contract_spec(kind, m, h), values)
     q, seen = _quantile_and_evaluations(fit, p)
     if q == "QuantileBracketError":
         low, high = min(seen), max(seen)
-        assert low <= -1e6 and seen[low] >= p or high >= 1e6 and seen[high] < p
+        assert (low <= min(-1e6, min(values)) and seen[low] >= p
+                or high >= max(1e6, max(values)) and seen[high] < p)
     else:
         assert _meets_the_quantile_contract(fit, p, q, seen)
 

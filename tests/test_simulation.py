@@ -606,13 +606,8 @@ def _per_row_fits(spec, dist, reps, seed):
 
 
 def _assert_matches_fits(spec, got, want):
-    # the row-axis formulas give each fit's value bit for bit, except that
-    # Bernstein sums its counts over every order 0..m, the fit over the
-    # occupied ones: a few ulps (2.8e-16 at most seen at m = 40 and 3000)
-    if spec["kind"] == "bernstein":
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
-    else:
-        assert got.tobytes() == want.tobytes(), spec
+    # the row-axis formulas give each fit's value bit for bit
+    assert got.tobytes() == want.tobytes(), spec
 
 
 @pytest.mark.parametrize("spec", _NORMALITY_SPECS, ids=lambda s: s["kind"])
@@ -642,6 +637,15 @@ def test_normality_chunks_equal_the_per_row_fits(beta33, spec, monkeypatch):
     monkeypatch.setattr(estimators, "_ELEMENT_BUDGET", 3 * width)
     got = normality_experiment(beta33, spec, 0.4, 500, 7, master_seed=6).values
     assert calls[-1] == (width, [3, 3, 1])
+    _assert_matches_fits(spec, got, want)
+
+
+def test_bernstein_rows_equal_the_fits_at_a_large_order(beta33):
+    # m = 3000 >> n: the rows take one incomplete beta per distinct order, as
+    # the fits do, and keep their bits
+    spec = {"kind": "bernstein", "m": 3000}
+    want = _per_row_fits(spec, beta33, 200, 4)
+    got = normality_experiment(beta33, spec, 0.4, 500, 200, master_seed=4).values
     _assert_matches_fits(spec, got, want)
 
 

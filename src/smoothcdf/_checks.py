@@ -3,9 +3,10 @@
 Each number check converts its value to a Python number, rejects NaN and
 the infinities, and raises one ValueError that names the argument.  A
 value that does not convert at all, or is a string, "20" included, is
-rejected the same way.  ``flag``
-takes a bool and nothing else.  ``seed`` takes any integer and reduces it
-modulo 2**64, the one place a seed is reduced.
+rejected the same way.  ``floats`` takes numbers of any shape, a scalar,
+list or array, by the same rule: a string, or a list or array holding one,
+is rejected.  ``flag`` takes a bool and nothing else.  ``seed`` takes any
+integer and reduces it modulo 2**64, the one place a seed is reduced.
 
 ``spec`` reads the ``{"kind": ..., <keys>}`` dicts of the estimator and
 distribution configs: each kind takes exactly its own required and
@@ -71,6 +72,15 @@ def nonnegative(name, v):
     if not 0.0 <= f < math.inf:
         raise ValueError(f"{name} must be >= 0 and finite")
     return f
+
+
+def floats(name, v):
+    """v as a float array of v's shape, its numbers' bits kept."""
+    a = np.asarray(v)
+    if a.dtype.kind in "SU" or (a.dtype.kind == "O"
+                                and any(isinstance(e, (str, bytes)) for e in a.flat)):
+        raise ValueError(f"{name} must be numeric: a string is no number")
+    return a.astype(float, copy=False)
 
 
 def flag(name, v):

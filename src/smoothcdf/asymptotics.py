@@ -7,9 +7,14 @@ Pointwise quantities at an interior point x:
     VS     = f(x) sqrt(x / pi)      variance-reduction coefficient (m^-1/2 / n)
 
 and the weighted-integral constants C1, C2, C3 of sigma2, VS and bS^2
-against the weight exp(-a x) f(x), which give the integrated error
+against the weight exp(-a x) f(x), a >= 0, which give the integrated error
 expansion C1/n - C2/(sqrt(m) n) + C3/m^2 and the optimal order
-m_opt = n^(2/3) (4 C3 / C2)^(2/3).
+m_opt = n^(2/3) (4 C3 / C2)^(2/3).  a = 0 is the weight f(x) dx the Monte
+Carlo sweeps measure the MISE with.
+
+The constants are ``scipy.integrate.quad`` integrals.  ``scipy.integrate``
+is imported inside ``mise_constants``, its one use, so that importing this
+module, and the package, does not load it.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from ._checks import integer, nonnegative, positive
 
@@ -117,10 +121,14 @@ def m_opt_mse(coeffs, n):
 def mise_constants(dist, a):
     """Weighted integrals C1, C2, C3 by adaptive quadrature to 1e-10 relative.
 
-    The weight is exp(-a x) f(x) with a > 0.  a = 0 is accepted for C1
-    only (it equals 1/6 for every continuous model); C2 and C3 are then
-    reported as NaN.
+    The weight is exp(-a x) f(x) with a >= 0.  a = 0 is the weight f(x) dx
+    the sweeps measure the MISE with; there C1 = 1/6 for every continuous
+    model.  The integrals run over [0, F^-1(1 - 1e-13)], and the reported
+    error is the sum of the three quadrature error estimates and the
+    weighted tail mass (1 - F(end)) exp(-a end) past that end.
     """
+    from scipy import integrate  # here, its one use: see the module docstring
+
     a = nonnegative("a", a)
     upper = float(dist.quantile(1.0 - 1e-13))
 
@@ -139,8 +147,6 @@ def mise_constants(dist, a):
 
     c1, e1 = integrate.quad(lambda t: sigma2(t) * weight(t), 0.0, upper,
                             epsabs=0.0, epsrel=1e-10, limit=200)
-    if a == 0.0:
-        return MiseConstants(a, c1, math.nan, math.nan, e1)
     c2, e2 = integrate.quad(lambda t: vS(t) * weight(t), 0.0, upper,
                             epsabs=0.0, epsrel=1e-10, limit=200)
     c3, e3 = integrate.quad(lambda t: b2(t) * weight(t), 0.0, upper,

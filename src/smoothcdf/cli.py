@@ -280,7 +280,8 @@ def build_parser():
     p.add_argument("--dist", required=True, help='model spec, e.g. {"kind":"exponential","rate":2}')
     p.add_argument("--x", required=True, type=float)
     p.add_argument("--n", required=True, type=int)
-    p.add_argument("--a", type=float, default=1.0)
+    p.add_argument("--a", type=float, default=1.0,
+                   help="the integrated constants' weight exp(-a x) f(x); 0 is the sweeps' weight")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_asymptotics)
 

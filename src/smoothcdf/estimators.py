@@ -50,7 +50,10 @@ Brent's method never stops on it.  Then some evaluated point no more than
 within ``_BRENT_MAXITER`` iterations raises.  Bracket ends stay within
 +-the largest float, and Brent's method runs in t = x / 2, whose bracket
 [lo / 2, hi / 2] is finitely wide for any two finite ends; doubling t back
-to x is exact.
+to x is exact.  ``scipy.optimize`` is imported inside ``_Fitted._brent``,
+its one use, so a process that takes no smooth quantile (a sweep, the
+normality experiment, ``estimate``) never loads it; later imports are a
+lookup in the module cache.
 
 The Szasz, Bernstein and kernel fits are non-decreasing, so their quantile
 is the one root of Fhat(x) = p.  Their search widens the bracket until it
@@ -92,7 +95,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
-from scipy import optimize, special as sp
+from scipy import special as sp
 
 from . import _checks
 from ._checks import finite, flag, integer, positive
@@ -174,7 +177,7 @@ def _check_points(x, lower, upper):
 
 
 def _check_level(p):
-    p = float(p)
+    p = float(_checks.floats("quantile level", p))
     if not 0.0 < p < 1.0:
         raise ValueError("quantile level must lie in (0, 1)")
     return p
@@ -294,7 +297,7 @@ class _Fitted:
     @np.errstate(over="ignore")  # at the largest points: see the module docstring
     def _pointwise(self, formula, x):
         # formula maps a flat float array to the values at its points
-        x = np.asarray(x, dtype=float)
+        x = _checks.floats("evaluation points", x)
         _check_points(x, self._lower, self._upper)
         out = formula(np.atleast_1d(x).ravel())
         return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
@@ -341,6 +344,8 @@ class _Fitted:
         # [lo, hi], where Fhat(lo) < p <= Fhat(hi); known maps points to
         # their values, read in place of evaluating them.  The method runs
         # in t = x / 2, so that the bracket's width is finite
+        from scipy import optimize  # here, its one use: see the module docstring
+
         upper = hi
 
         def excess(t):
@@ -609,7 +614,7 @@ def evaluate_rows(spec, samples, x, dist=None):
     if samples.ndim != 2:
         raise ValueError("samples must be a matrix with one sample per row")
     _check_sample(samples, cls._lower, cls._upper)
-    point = np.array([float(x)])
+    point = _checks.floats("evaluation point", x).reshape(1)
     _check_points(point, cls._lower, cls._upper)
     n = samples.shape[1]
     if kind == "hermite_half":

@@ -350,7 +350,7 @@ def ks_distance_normal(values, mean, sd):
 
     ``values`` must be non-empty and finite, ``mean`` finite and ``sd`` positive.
     """
-    v = np.sort(np.asarray(values, dtype=float).ravel())
+    v = np.sort(_checks.floats("values", values).ravel())
     if not (v.size and np.isfinite(v).all()):
         raise ValueError("values must be finite and not empty")
     mean, sd = finite("mean", mean), positive("sd", sd)

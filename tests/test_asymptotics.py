@@ -82,12 +82,23 @@ def test_mise_constants_closed_forms(exp2):
         mise_constants(exp2, -0.5)
 
 
-def test_mise_constants_a_zero_limit(exp2, weibull1):
+@pytest.mark.filterwarnings("error")  # an IntegrationWarning would fail here
+def test_mise_constants_a_zero_limit(exp2, weibull1, weibull2, weibull3):
+    # a = 0 is the weight f(x) dx the sweeps use; C2 and C3 used to come back NaN.
     # int F (1 - F) f dx = int_0^1 u (1 - u) du = 1/6 for any continuous model
-    for dist in (exp2, weibull1):
+    for dist in (exp2, weibull1, weibull2, weibull3):
         mc = mise_constants(dist, 0.0)
         assert mc.C1 == pytest.approx(1.0 / 6.0, abs=1e-9)
-        assert math.isnan(mc.C2) and math.isnan(mc.C3)
+        assert mc.C2 > 0.0 and mc.C3 > 0.0 and 0.0 < mc.quadrature_error_estimate < 1e-9
+    # Exp(2): C2 = (4/sqrt(pi)) int sqrt(x) e^{-4x} dx = 1/4 and
+    # C3 = 8 int x^2 e^{-6x} dx = 2/27
+    mc = mise_constants(exp2, 0)
+    assert mc.C2 == pytest.approx(0.25, rel=1e-10)
+    assert mc.C3 == pytest.approx(2.0 / 27.0, rel=1e-10)
+    # the optimal orders of the expansion at the sweeps' n
+    for dist, want in ((exp2, (8.3, 15.2, 38.3)), (weibull1, (4.0, 7.4, 18.7))):
+        mc = mise_constants(dist, 0.0)
+        assert [round(m_opt_mise(mc, n).m_opt, 1) for n in (20, 50, 200)] == list(want)
 
 
 def test_mise_constants_respect_analytic_bounds(exp2, beta33, weibull1, weibull2, weibull3):

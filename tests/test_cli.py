@@ -2,6 +2,10 @@ import json
 import math
 import os
 import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +220,20 @@ def test_asymptotics_degenerate_point_reports_null(tmp_path):
     assert report["m_opt_mise"] > 0.0
 
 
+@pytest.mark.filterwarnings("error")  # an IntegrationWarning would be a second line
+def test_asymptotics_at_a_zero_reports_finite_constants(tmp_path, capsys):
+    # --a 0, the sweeps' own weight, used to exit 2 with "degenerate constants"
+    assert main(["asymptotics", "--dist", _EXP2, "--x", "1", "--n", "50", "--a", "0",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "asymptotics.json").read_text())
+    assert report["a"] == 0.0
+    assert report["C2"] == pytest.approx(0.25, rel=1e-10)
+    assert report["C3"] == pytest.approx(2.0 / 27.0, rel=1e-10)
+    assert report["m_opt_mise"] == pytest.approx(15.2, abs=0.05)
+    assert all(math.isfinite(report[key]) for key in ("C1", "C2", "C3", "c_star", "c_opt"))
+
+
 def test_asymptotics_bad_spec(tmp_path):
     assert main(["asymptotics", "--dist", '{"kind":"zipf"}',
                  "--x", "1", "--n", "10", "--out-dir", str(tmp_path)]) == 2
@@ -232,7 +250,6 @@ _NORMALITY = {"dist": {"kind": "beta", "alpha": 3, "beta": 3},
 @pytest.mark.parametrize("argv", [
     ["asymptotics", "--dist", _EXP2, "--x", "1", "--n", "0"],
     ["asymptotics", "--dist", _EXP2, "--x", "1", "--n", "10", "--a", "-1"],
-    ["asymptotics", "--dist", _EXP2, "--x", "1", "--n", "10", "--a", "0"],
     ["asymptotics", "--dist", '{"kind":"exponential"}', "--x", "1", "--n", "10"],
     ["sweep", "--config", _SWEEP],
     ["asymptotics", "--dist", _EXP2, "--x", "nan", "--n", "10"],
@@ -252,7 +269,7 @@ _NORMALITY = {"dist": {"kind": "beta", "alpha": 3, "beta": 3},
     ["sweep", "--config", {**_SWEEP, "estimator_family": "szasz", "master_seed": "7"}],
     ["sweep", "--config", {**_SWEEP, "estimator_family": "szasz", "param_grid": "49"}],
     ["normality", "--config", {**_NORMALITY, "x": "0.4"}],
-], ids=["n=0", "a<0", "a=0", "no rate", "bernstein on the half line", "x=nan", "x=inf",
+], ids=["n=0", "a<0", "no rate", "bernstein on the half line", "x=nan", "x=inf",
         "a=nan", "rate=nan", "sweep n=2.5", "normality n=30.7", "normality clip",
         "sweep seed=1.7", "sweep seed=-1", "normality seed=1.7", "sweep workers=0",
         "sweep workers=-4", "normality workers=0", "sweep n string", "sweep seed string",
@@ -436,3 +453,49 @@ def test_estimate_rejects_nan_points(tmp_path, capsys):
             assert code == 2
             assert message in capsys.readouterr().err
             assert not (out / "estimate.csv").exists()
+
+
+_LOAD_ON_USE = textwrap.dedent("""
+    import json, sys
+    import smoothcdf, smoothcdf.cli
+    from smoothcdf.cli import main
+
+    lazy = ("scipy.optimize", "scipy.integrate")
+    with open("s.txt", "w") as f:
+        f.write("0.2\\n0.5\\n0.9\\n1.4\\n")
+    sweep = {"dist": {"kind": "exponential", "rate": 2}, "estimator_family": "szasz",
+             "param_grid": [2, 4], "n": 10, "M": 5}
+    normality = {"dist": {"kind": "beta", "alpha": 3, "beta": 3},
+                 "estimator": {"kind": "szasz", "m": 20}, "x": 0.4, "n": 20, "M": 10}
+    for name, config in (("sweep.json", sweep), ("normality.json", normality)):
+        with open(name, "w") as f:
+            json.dump(config, f)
+    for argv in (["estimate", "--sample", "s.txt", "--kind", "szasz", "--m", "20",
+                  "--points", "0.5,1", "--out-dir", "est"],
+                 ["sweep", "--config", "sweep.json", "--workers", "1", "--out-dir", "sw"],
+                 ["normality", "--config", "normality.json", "--workers", "1",
+                  "--out-dir", "no"],
+                 ["theory-check", "--level", "fast", "--out-dir", "tc"]):
+        assert main(argv) == 0, argv
+        loaded = [name for name in lazy if name in sys.modules]
+        assert not loaded, (argv[0], loaded)
+    fit = smoothcdf.szasz_fit([0.5, 1, 2], 3)
+    consts = smoothcdf.mise_constants(smoothcdf.make_exponential(2.0), 1.0)
+    print(json.dumps({"quantile": fit.quantile(0.5), "C1": consts.C1, "C2": consts.C2,
+                      "loaded": [name for name in lazy if name in sys.modules]}))
+""")
+
+
+def test_scipy_optimize_and_integrate_load_only_where_they_are_used(tmp_path):
+    # a fresh interpreter: the sweeps, normality, estimate and theory-check load
+    # neither; only a smooth quantile (Brent's method) and mise_constants (quad) do
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", _LOAD_ON_USE], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout.splitlines()[-1])
+    assert report["loaded"] == ["scipy.optimize", "scipy.integrate"]
+    assert report["quantile"] == pytest.approx(1.0272565616852263, abs=1e-9)
+    assert report["C1"] == pytest.approx(4.0 / 35.0, rel=1e-10)
+    assert report["C2"] == pytest.approx(2.0 / 5.0**1.5, rel=1e-9)

@@ -979,6 +979,35 @@ def test_nan_evaluation_points_are_rejected_by_every_family():
         assert szasz_fit(x, m).density([1e308, 1.5, 1e308]).tolist()[::2] == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_strings_are_no_numbers_in_points_and_levels(kind):
+    # a quantile level, an evaluation point and a list of points written as
+    # strings used to run as the numbers they spell, as did evaluate_rows's
+    # point: szasz_fit([0.5, 1, 2], 3).quantile("0.5") gave 1.0273
+    x = [0.2, 0.5, 0.7]
+    fit, spec = _fit_kind(kind, x, 3), _own_spec(kind, 3)
+    message = "must be numeric: a string is no number"
+    for bad in ("0.5", b"0.5"):
+        with pytest.raises(ValueError, match=f"^quantile level {message}$"):
+            fit.quantile(bad)
+    for bad in ("0.7", ["0.5", "0.25"], np.array(["0.5"]),
+                np.array([0.5, "0.25"], dtype=object)):
+        with pytest.raises(ValueError, match=f"^evaluation points {message}$"):
+            fit.evaluate(bad)
+    with pytest.raises(ValueError, match=f"^evaluation point {message}$"):
+        evaluate_rows(spec, np.array([x]), "0.7")
+    # numbers keep their bits, whatever their type or container
+    points = np.array([0.25, 0.5, 1.0])
+    want = fit.evaluate(points)
+    assert np.array_equal(fit.evaluate([0.25, 0.5, 1]), want)
+    assert np.array_equal(fit.evaluate(np.array([0.25, 0.5, 1.0], dtype=object)), want)
+    assert np.array_equal(fit.evaluate(points.astype(np.float32)), want)
+    for point in (1, np.int64(1), np.float64(1.0), True):
+        assert fit.evaluate(point) == fit.evaluate(1.0)
+        assert evaluate_rows(spec, np.array([x]), point).tolist() == [fit.evaluate(1.0)]
+    assert fit.quantile(np.float64(0.5)) == fit.quantile(0.5)
+
+
 def test_kernel_evaluate_and_szasz_density_memory_is_bounded(weibull1):
     # each used to hold n x points doubles at once: 40.1 MB (kernel) and
     # 43.6 MB (Szasz density) at n = 5000 and 1000 points, and the Hermite

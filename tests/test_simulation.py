@@ -742,3 +742,13 @@ def test_ks_distance_normal_on_exact_normal_sample():
     v = rng.normal(3.0, 2.0, size=4000)
     assert ks_distance_normal(v, 3.0, 2.0) < 0.03
     assert ks_distance_normal(v, 3.5, 2.0) > 0.05
+
+
+def test_ks_distance_normal_takes_numbers_not_strings():
+    # ["0.1", "0.2"] used to give 0.5398
+    for bad in (["0.1", "0.2"], np.array(["0.1"]), [0.1, b"0.2"]):
+        with pytest.raises(ValueError, match="^values must be numeric: a string is no number$"):
+            ks_distance_normal(bad, 0.0, 1.0)
+    want = ks_distance_normal(np.array([0.1, 0.2, 1.0]), 0.0, 1.0)
+    assert ks_distance_normal([0.1, 0.2, 1], 0, 1) == want
+    assert ks_distance_normal(np.array([1.0, 0.2, 0.1], dtype=object), 0.0, 1.0) == want

@@ -5,7 +5,8 @@ the infinities, and raises one ValueError that names the argument.  A
 value that does not convert at all, or is a string, "20" included, is
 rejected the same way.  ``floats`` takes numbers of any shape, a scalar,
 list or array, by the same rule: a string, or a list or array holding one,
-is rejected.  ``flag`` takes a bool and nothing else.  ``seed`` takes any
+is rejected.  ``number`` takes one number by that rule, and no list or
+array of them.  ``flag`` takes a bool and nothing else.  ``seed`` takes any
 integer and reduces it modulo 2**64, the one place a seed is reduced.
 
 ``spec`` reads the ``{"kind": ..., <keys>}`` dicts of the estimator and
@@ -81,6 +82,15 @@ def floats(name, v):
                                 and any(isinstance(e, (str, bytes)) for e in a.flat)):
         raise ValueError(f"{name} must be numeric: a string is no number")
     return a.astype(float, copy=False)
+
+
+def number(name, v):
+    """v as one float by the rule of ``floats``; a list or an array, even of
+    one number, is not one."""
+    a = floats(name, v)
+    if a.ndim:
+        raise ValueError(f"{name} must be a single number, not an array of shape {a.shape}")
+    return float(a)
 
 
 def flag(name, v):

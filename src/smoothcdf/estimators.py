@@ -42,18 +42,20 @@ the full 0..m table.
 Quantiles are inf{x: Fhat(x) >= p}.  The EDF takes the k-th order
 statistic for the smallest k with k / n >= p.  Every smooth fit ends in one
 step, ``_Fitted._brent``: from a bracket [lo, hi] with Fhat(lo) < p <=
-Fhat(hi), Brent's method (``scipy.optimize.brentq``) runs to ``_XTOL`` =
-1e-10, one point per ``evaluate``, and the step returns the least point q
-evaluated with Fhat(q) >= p, a value equal to p counting as above p, so
-Brent's method never stops on it.  Then some evaluated point no more than
+Fhat(hi), Brent's method runs to ``_XTOL`` = 1e-10, one point per
+``evaluate``, and the step returns the least point q evaluated with
+Fhat(q) >= p, a value equal to p counting as above p, so Brent's method
+never stops on it.  Then some evaluated point no more than
 1e-10 + 4 eps |q| below q has Fhat < p; a search that does not converge
 within ``_BRENT_MAXITER`` iterations raises.  Bracket ends stay within
 +-the largest float, and Brent's method runs in t = x / 2, whose bracket
 [lo / 2, hi / 2] is finitely wide for any two finite ends; doubling t back
-to x is exact.  ``scipy.optimize`` is imported inside ``_Fitted._brent``,
-its one use, so a process that takes no smooth quantile (a sweep, the
-normality experiment, ``estimate``) never loads it; later imports are a
-lookup in the module cache.
+to x is exact.  Brent's method is ``_brentq``, a port of the loop of
+scipy's ``brentq.c`` (Brent 1973, *Algorithms for Minimization without
+Derivatives*, ch. 4) with scipy's least relative tolerance 4 eps: it keeps
+the C code's order of operations, so every iterate and every quantile has
+the bits ``scipy.optimize.brentq`` gives, and no quantile loads
+``scipy.optimize``, whose import costs a process about 22 MB.
 
 The Szasz, Bernstein and kernel fits are non-decreasing, so their quantile
 is the one root of Fhat(x) = p.  Their search widens the bracket until it
@@ -123,11 +125,12 @@ _X_MAX = 1e6  # quantile bracketing gives up past this point
 _FLOAT_MAX = float(np.finfo(float).max)  # the largest finite float
 _ELEMENT_BUDGET = 250_000  # array elements one chunk of rows or points may allocate
 _XTOL = 1e-10  # the width Brent's method brings a quantile bracket down to
+_RTOL = 4.0 * float(np.finfo(float).eps)  # its relative tolerance, scipy brentq's least
 # Brent's method's iteration cap.  It runs in t = x / 2 over a bracket within
 # +-_FLOAT_MAX / 2, under 2**1024 wide, and halving brings that to
 # _XTOL / 2 > 2**-35 in at most 1024 + 35 = 1059 steps; the cap is about 2.8
-# times that, room for the interpolation steps brentq takes between its
-# halvings
+# times that, room for the interpolation steps _brentq takes between its
+# halvings.  _brentq reads it at each call
 _BRENT_MAXITER = 3000
 # past this x / sigma, exp(-x^2/2) has underflowed to 0: every Hermite function
 # is 0 and every integral at its limit, so the estimate reads as it does here
@@ -177,7 +180,7 @@ def _check_points(x, lower, upper):
 
 
 def _check_level(p):
-    p = float(_checks.floats("quantile level", p))
+    p = _checks.number("quantile level", p)
     if not 0.0 < p < 1.0:
         raise ValueError("quantile level must lie in (0, 1)")
     return p
@@ -344,8 +347,6 @@ class _Fitted:
         # [lo, hi], where Fhat(lo) < p <= Fhat(hi); known maps points to
         # their values, read in place of evaluating them.  The method runs
         # in t = x / 2, so that the bracket's width is finite
-        from scipy import optimize  # here, its one use: see the module docstring
-
         upper = hi
 
         def excess(t):
@@ -359,8 +360,48 @@ class _Fitted:
             upper = min(upper, x)
             return max(v - p, math.ulp(0.0))
 
-        optimize.brentq(excess, lo / 2.0, hi / 2.0, xtol=_XTOL / 2.0, maxiter=_BRENT_MAXITER)
+        _brentq(excess, lo / 2.0, hi / 2.0, _XTOL / 2.0)
         return upper
+
+
+def _brentq(f, xpre, xcur, xtol):
+    # a root of f in [xpre, xcur] to xtol + _RTOL |x|: the loop of scipy's
+    # brentq.c (Brent 1973, ch. 4) in its order of operations, so every
+    # iterate keeps the C code's bits.  The caller has f(xpre) < 0 < f(xcur),
+    # so the C code's exits for a zero or a same-signed end are left out.
+    # Where C bisects without trying a step, or its step divides by zero
+    # (inf or NaN), stry is inf here, which fails the same short-step test
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                denom = dblk * dpre * (fblk - fpre)
+                if denom:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / denom
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise RuntimeError(f"Brent's method did not converge in {_BRENT_MAXITER} iterations")
 
 
 @dataclass(frozen=True)
@@ -614,7 +655,7 @@ def evaluate_rows(spec, samples, x, dist=None):
     if samples.ndim != 2:
         raise ValueError("samples must be a matrix with one sample per row")
     _check_sample(samples, cls._lower, cls._upper)
-    point = _checks.floats("evaluation point", x).reshape(1)
+    point = np.array([_checks.number("evaluation point", x)])
     _check_points(point, cls._lower, cls._upper)
     n = samples.shape[1]
     if kind == "hermite_half":

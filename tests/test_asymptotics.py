@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from smoothcdf import (
     PointwiseCoeffs,
     c_opt,
     c_star,
     deficiency_asymptotic,
+    make_weibull_mixture,
     m_opt_mise,
     m_opt_mse,
     mise_constants,
@@ -99,6 +101,29 @@ def test_mise_constants_a_zero_limit(exp2, weibull1, weibull2, weibull3):
     for dist, want in ((exp2, (8.3, 15.2, 38.3)), (weibull1, (4.0, 7.4, 18.7))):
         mc = mise_constants(dist, 0.0)
         assert [round(m_opt_mise(mc, n).m_opt, 1) for n in (20, 50, 200)] == list(want)
+
+
+@pytest.mark.filterwarnings("error")  # an IntegrationWarning would fail here
+def test_mise_constants_raise_where_quad_does_not_converge(exp2, beta33, weibull1, weibull2,
+                                                           weibull3):
+    # (x f'(x))^2 f(x) ~ x^(3k - 3) near 0, so C3 is infinite for a Weibull
+    # shape k <= 2/3.  quad used to return it with an IntegrationWarning: at
+    # a = 0, C3 = -0.0516 for k = 0.6, 87.27 +- 147 for k = 0.5 and
+    # 1.158 +- 0.077 for k = 2/3
+    for shape in (0.5, 0.6, 2.0 / 3.0):
+        for a in (0.0, 1.0):
+            with pytest.raises(ValueError, match="^C3 does not converge: quad returned "):
+                mise_constants(make_weibull_mixture([[1.0, shape, 1.0]]), a)
+    # where it converges, C3 is quad's plain value bit for bit
+    shapes = [make_weibull_mixture([[1.0, k, 1.0]]) for k in (0.67, 0.7, 0.8, 1.0)]
+    for dist in (exp2, beta33, weibull1, weibull2, weibull3, *shapes):
+        upper = float(dist.quantile(1.0 - 1e-13))
+        for a in (0.0, 1.0):
+            def integrand(t, dist=dist, a=a):
+                return (0.5 * t * dist.pdf_prime(t)) ** 2 * (np.exp(-a * t) * dist.pdf(t))
+
+            want = integrate.quad(integrand, 0.0, upper, epsabs=0.0, epsrel=1e-10, limit=200)[0]
+            assert mise_constants(dist, a).C3 == want
 
 
 def test_mise_constants_respect_analytic_bounds(exp2, beta33, weibull1, weibull2, weibull3):

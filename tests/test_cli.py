@@ -234,6 +234,20 @@ def test_asymptotics_at_a_zero_reports_finite_constants(tmp_path, capsys):
     assert all(math.isfinite(report[key]) for key in ("C1", "C2", "C3", "c_star", "c_opt"))
 
 
+@pytest.mark.filterwarnings("error")  # an IntegrationWarning would be a second line
+def test_asymptotics_exits_2_naming_a_divergent_constant(tmp_path, capsys):
+    # a Weibull shape of 0.6 makes C3 diverge; quad returned -0.0516 at a = 0,
+    # which the command wrote out with the m_opt_mise it gives
+    weibull = '{"kind":"weibull_mixture","components":[[1.0,0.6,1.0]]}'
+    for a in ("0", "1"):
+        out = tmp_path / a
+        assert main(["asymptotics", "--dist", weibull, "--x", "1", "--n", "50", "--a", a,
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("smoothcdf: C3 does not converge: ") and err.count("\n") == 1
+        assert not (out / "asymptotics.json").exists()
+
+
 def test_asymptotics_bad_spec(tmp_path):
     assert main(["asymptotics", "--dist", '{"kind":"zipf"}',
                  "--x", "1", "--n", "10", "--out-dir", str(tmp_path)]) == 2
@@ -269,11 +283,12 @@ _NORMALITY = {"dist": {"kind": "beta", "alpha": 3, "beta": 3},
     ["sweep", "--config", {**_SWEEP, "estimator_family": "szasz", "master_seed": "7"}],
     ["sweep", "--config", {**_SWEEP, "estimator_family": "szasz", "param_grid": "49"}],
     ["normality", "--config", {**_NORMALITY, "x": "0.4"}],
+    ["normality", "--config", {**_NORMALITY, "x": [0.4, 0.5]}],
 ], ids=["n=0", "a<0", "no rate", "bernstein on the half line", "x=nan", "x=inf",
         "a=nan", "rate=nan", "sweep n=2.5", "normality n=30.7", "normality clip",
         "sweep seed=1.7", "sweep seed=-1", "normality seed=1.7", "sweep workers=0",
         "sweep workers=-4", "normality workers=0", "sweep n string", "sweep seed string",
-        "sweep param_grid string", "normality x string"])
+        "sweep param_grid string", "normality x string", "normality x list"])
 def test_invalid_input_exits_2_with_one_message(tmp_path, capsys, argv):
     # each of these ended in a traceback with exit code 1, or ran: NaN x and a
     # were written out, n = 2.5 or 30.7 ran at n = 2 or 30, the numbers
@@ -479,22 +494,29 @@ _LOAD_ON_USE = textwrap.dedent("""
         assert main(argv) == 0, argv
         loaded = [name for name in lazy if name in sys.modules]
         assert not loaded, (argv[0], loaded)
-    fit = smoothcdf.szasz_fit([0.5, 1, 2], 3)
+    x = [0.2, 0.5, 0.9]
+    quantiles = [fit.quantile(0.5) for fit in (
+        smoothcdf.szasz_fit([0.5, 1, 2], 3), smoothcdf.bernstein_fit(x, 5),
+        smoothcdf.kernel_fit(x, 0.1), smoothcdf.hermite_half_fit(x, 4))]
+    after_quantiles = [name for name in lazy if name in sys.modules]
     consts = smoothcdf.mise_constants(smoothcdf.make_exponential(2.0), 1.0)
-    print(json.dumps({"quantile": fit.quantile(0.5), "C1": consts.C1, "C2": consts.C2,
+    print(json.dumps({"quantile": quantiles[0], "C1": consts.C1, "C2": consts.C2,
+                      "after_quantiles": after_quantiles,
                       "loaded": [name for name in lazy if name in sys.modules]}))
 """)
 
 
 def test_scipy_optimize_and_integrate_load_only_where_they_are_used(tmp_path):
-    # a fresh interpreter: the sweeps, normality, estimate and theory-check load
-    # neither; only a smooth quantile (Brent's method) and mise_constants (quad) do
+    # a fresh interpreter: the sweeps, normality, estimate, theory-check and a
+    # quantile of each smooth kind load neither; only mise_constants does, whose
+    # scipy.integrate imports scipy.optimize
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     run = subprocess.run([sys.executable, "-c", _LOAD_ON_USE], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     report = json.loads(run.stdout.splitlines()[-1])
+    assert report["after_quantiles"] == []
     assert report["loaded"] == ["scipy.optimize", "scipy.integrate"]
     assert report["quantile"] == pytest.approx(1.0272565616852263, abs=1e-9)
     assert report["C1"] == pytest.approx(4.0 / 35.0, rel=1e-10)

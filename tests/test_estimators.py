@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -8,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import betainc, gammainc, ndtr, ndtri
@@ -833,6 +834,71 @@ def test_a_quantile_search_that_does_not_converge_raises(monkeypatch, weibull1):
         kernel_fit(sample(weibull1, 1, 50), 0.2).quantile(0.5)
 
 
+_BRENTQ = estimators._brentq
+
+
+def _brent_runs(f, a, b, xtol):
+    # the root and the points evaluated, as hex, by the port and by
+    # scipy.optimize.brentq, its reference, at scipy's default rtol
+    from scipy import optimize
+
+    runs = []
+    for solve in (_BRENTQ, lambda g, a, b, xtol: optimize.brentq(
+            g, a, b, xtol=xtol, maxiter=estimators._BRENT_MAXITER)):
+        points = []
+        root = solve(lambda t: points.append(t) or f(t), a, b, xtol)
+        runs.append((float(root).hex(), [float(t).hex() for t in points]))
+    return runs
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["szasz", "bernstein", "kernel", "hermite_half"]),
+       unit=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40), k=st.integers(1, 60),
+       scale=st.sampled_from([1e-3, 1.0, 3.0, 1e4]),
+       p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_brent_port_equals_scipy_brentq_bitwise_on_each_smooth_kind(kind, unit, k, scale, p):
+    # each kind's excess over the bracket its search builds: the port and
+    # scipy's brentq evaluate the same points and return the same root
+    values = [v * (1.0 if kind == "bernstein" else scale) for v in unit]
+    calls = []
+
+    def spy(f, a, b, xtol):
+        calls.append((f, a, b, xtol))
+        return _BRENTQ(f, a, b, xtol)
+
+    with mock.patch.object(estimators, "_brentq", spy):
+        _quantile_or_error(_fit_kind(kind, values, k), p)
+    for call in calls:
+        port, reference = _brent_runs(*call)
+        assert port == reference
+
+
+_MONOTONE = {"arctan": np.arctan, "cube": lambda u: u**3, "expm1": np.expm1,
+             "steps": lambda u: np.floor(4.0 * u),
+             "subnormal steps": lambda u: 5e-324 * np.floor(4.0 * u)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(_MONOTONE)), root=st.floats(-1.0, 1.0),
+       below=st.floats(0.01, 10.0), above=st.floats(0.01, 10.0),
+       scale=st.sampled_from([1e-200, 1e-3, 1.0, 1e3, 1e200, 1e300]),
+       xtol=st.sampled_from([5e-11, 1e-10, 1e-300]))
+def test_brent_port_equals_scipy_brentq_bitwise_on_monotone_functions(name, root, below, above,
+                                                                      scale, xtol):
+    # elementwise increasing functions at scales from 1e-200 to 1e300, where
+    # the extrapolation's divisor can underflow to 0, and step functions, one
+    # of subnormal steps, whose products of two values underflow to +-0
+    g = _MONOTONE[name]
+
+    def f(x):
+        return g(x / scale) - g(root)
+
+    a, b = (root - below) * scale, (root + above) * scale
+    assume(f(a) < 0.0 < f(b))
+    port, reference = _brent_runs(f, a, b, xtol)
+    assert port == reference
+
+
 def test_fit_from_spec(exp2):
     s = sample(exp2, 2, 30)
     assert fit_from_spec({"kind": "edf"}, s).kind == "edf"
@@ -1006,6 +1072,25 @@ def test_strings_are_no_numbers_in_points_and_levels(kind):
         assert fit.evaluate(point) == fit.evaluate(1.0)
         assert evaluate_rows(spec, np.array([x]), point).tolist() == [fit.evaluate(1.0)]
     assert fit.quantile(np.float64(0.5)) == fit.quantile(0.5)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_level_or_rows_point_must_be_one_number_not_an_array(kind):
+    # fit.quantile([0.5, 0.6]) and fit.quantile(np.array([0.5])) raised
+    # numpy's unnamed TypeError "only 0-dimensional arrays can be converted",
+    # and evaluate_rows's point [0.7, 0.8] "cannot reshape array of size 2"
+    x = [0.2, 0.5, 0.7]
+    fit, spec = _fit_kind(kind, x, 3), _own_spec(kind, 3)
+    for bad in ([0.5, 0.6], np.array([0.5]), [[0.5]], []):
+        shape = np.shape(bad)
+        with pytest.raises(ValueError, match=re.escape(
+                f"quantile level must be a single number, not an array of shape {shape}")):
+            fit.quantile(bad)
+        with pytest.raises(ValueError, match=re.escape(
+                f"evaluation point must be a single number, not an array of shape {shape}")):
+            evaluate_rows(spec, np.array([x]), bad)
+    assert evaluate_rows(spec, np.array([x]), np.array(0.5)).tolist() == [fit.evaluate(0.5)]
+    assert fit.quantile(np.array(0.5)) == fit.quantile(0.5)
 
 
 def test_kernel_evaluate_and_szasz_density_memory_is_bounded(weibull1):
